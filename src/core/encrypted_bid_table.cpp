@@ -178,8 +178,10 @@ void EncryptedBidTable::insert_user(UserId u) {
 
 std::optional<auction::UserId> EncryptedBidTable::argmax_in_column(
     ChannelId r) const {
-  return strategy_ == ArgmaxStrategy::kSortedColumns ? argmax_sorted(r)
-                                                     : argmax_scan(r);
+  if (strategy_ == ArgmaxStrategy::kSortedColumns) return argmax_sorted(r);
+  LPPA_REQUIRE(r < channels_, "bid table index out of range");
+  return scan_max(r,
+                  [&](std::size_t u) { return present_[u * channels_ + r]; });
 }
 
 std::optional<auction::UserId> EncryptedBidTable::argmax_sorted(
@@ -195,11 +197,12 @@ std::optional<auction::UserId> EncryptedBidTable::argmax_sorted(
   return static_cast<UserId>(ord[h]);
 }
 
-std::optional<auction::UserId> EncryptedBidTable::argmax_scan(
-    ChannelId r) const {
+template <typename Counts>
+std::optional<auction::UserId> EncryptedBidTable::scan_max(
+    ChannelId r, const Counts& counts) const {
   std::optional<UserId> best;
   for (std::size_t u = 0; u < users_; ++u) {
-    if (!present_[idx(u, r)]) continue;
+    if (!counts(u)) continue;
     if (!best) {
       best = u;
       continue;
@@ -211,6 +214,30 @@ std::optional<auction::UserId> EncryptedBidTable::argmax_scan(
     if (!backend_->ge(incumbent, challenger)) best = u;
   }
   return best;
+}
+
+std::optional<auction::UserId> EncryptedBidTable::runner_up(
+    ChannelId r, UserId winner, const std::vector<bool>& eligible) const {
+  LPPA_REQUIRE(winner < users_, "bid table index out of range");
+  return rival_max(r, winner, eligible);
+}
+
+std::optional<auction::UserId> EncryptedBidTable::rival_max(
+    ChannelId r, std::optional<UserId> skip,
+    const std::vector<bool>& eligible) const {
+  LPPA_REQUIRE(r < channels_, "bid table index out of range");
+  LPPA_REQUIRE(eligible.size() == submissions_->size(),
+               "eligibility mask must cover every submission");
+  const auto counts = [&](std::size_t u) {
+    return u != skip && eligible[members_.empty() ? u : members_[u]];
+  };
+  if (strategy_ != ArgmaxStrategy::kSortedColumns) return scan_max(r, counts);
+  // The stable sort ranked every user, consumed or not.  A Byzantine
+  // column scrambles only its own order (see stable_merge_sort).
+  for (const std::uint32_t u : order_[r]) {
+    if (counts(u)) return static_cast<UserId>(u);
+  }
+  return std::nullopt;
 }
 
 bool EncryptedBidTable::empty() const noexcept { return live_ == 0; }

@@ -36,7 +36,25 @@ enum class ArgmaxStrategy : std::uint8_t {
   kTournamentScan,
 };
 
-class EncryptedBidTable final : public auction::BidTableView {
+/// The masked bid table the auctioneer allocates and charges on.  Both
+/// EncryptedBidTable and ShardedBidTable implement it, so the engine and
+/// the wire session share one second-price runner-up query.
+class MaskedBidTable : public auction::BidTableView {
+ public:
+  /// The masked entry, present or not (charge queries carry it).
+  virtual const ChannelBidSubmission& entry(UserId u, ChannelId r) const = 0;
+
+  /// Column r's highest masked bid among users u != winner with
+  /// eligible[u] (false for dead churn slots), lowest id among equals.
+  /// Consumed cells still count as rivals.
+  virtual std::optional<UserId> runner_up(
+      ChannelId r, UserId winner, const std::vector<bool>& eligible) const = 0;
+
+  /// The global EncryptedBidTable wire image.
+  virtual Bytes serialize() const = 0;
+};
+
+class EncryptedBidTable final : public MaskedBidTable {
  public:
   /// Holds a reference to the submissions for the duration of the
   /// allocation; the caller keeps them alive.  `sort_threads` spreads the
@@ -93,9 +111,14 @@ class EncryptedBidTable final : public auction::BidTableView {
 
   ArgmaxStrategy strategy() const noexcept { return strategy_; }
 
-  /// The masked entry (still present or not); used when assembling charge
-  /// queries for the TTP.
-  const ChannelBidSubmission& entry(UserId u, ChannelId r) const;
+  const ChannelBidSubmission& entry(UserId u, ChannelId r) const override;
+
+  /// Sorted: the first eligible non-winner entry of order_[r], no ge()
+  /// call.  Scan: the seed's O(n) tournament.  A subset view reads
+  /// `eligible` by global id.
+  std::optional<UserId> runner_up(
+      ChannelId r, UserId winner,
+      const std::vector<bool>& eligible) const override;
 
   /// Serializes the full table state — the masked submissions plus the
   /// presence bitmap (packed, with the live-cell count cross-checked at
@@ -105,7 +128,7 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// column orders and cursors are NOT serialized: they are a pure
   /// function of the submissions and are rebuilt on restore, keeping the
   /// wire format identical to the seed (PR 3 recovery images stay valid).
-  Bytes serialize() const;
+  Bytes serialize() const override;
 
   /// The serialize() wire image as a pure function of its inputs, shared
   /// with ShardedBidTable so a sharded auctioneer's snapshot is
@@ -152,8 +175,15 @@ class EncryptedBidTable final : public auction::BidTableView {
   /// Builds order_/head_ for every column (kSortedColumns only).
   void build_column_orders(std::size_t sort_threads);
 
-  std::optional<UserId> argmax_scan(ChannelId r) const;
+  /// O(n) masked tournament over the users `counts` admits.
+  template <typename Counts>
+  std::optional<UserId> scan_max(ChannelId r, const Counts& counts) const;
+
   std::optional<UserId> argmax_sorted(ChannelId r) const;
+
+  /// runner_up with an optional winner (shards without it skip nobody).
+  std::optional<UserId> rival_max(ChannelId r, std::optional<UserId> skip,
+                                  const std::vector<bool>& eligible) const;
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
   /// Subset view (shard) only: local user id -> index into submissions_.

@@ -118,16 +118,19 @@ LppaOutcome LppaAuction::run(
   }
   const std::vector<bool> all_live(n, true);
   MaintainedRoundOutcome round;
+  obs::Span table_span(m, "auction.bid_table", &round_span);
   if (assignment) {
     ShardedBidTable table(view.bids, config_.num_channels, assignment->shard_of,
                           config_.num_shards, config_.argmax_strategy,
                           config_.num_threads, m, config_.backend);
+    table_span.end();
     round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
                                 &round_span);
   } else {
     EncryptedBidTable table(view.bids, config_.num_channels,
                             config_.argmax_strategy, config_.num_threads,
                             config_.backend);
+    table_span.end();
     round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
                                 &round_span);
   }
@@ -138,11 +141,27 @@ LppaOutcome LppaAuction::run(
   return result;
 }
 
+ChargeQuery charge_query(const MaskedBidTable& table, UserId u, ChannelId r,
+                         ChargingRule rule, const std::vector<bool>& eligible) {
+  const ChannelBidSubmission& entry = table.entry(u, r);
+  ChargeQuery query{u,  r, entry.sealed, entry.value_family, entry.paillier_ct,
+                    {}, {}, 0};
+  if (rule != ChargingRule::kSecondPrice) return query;
+  if (const auto second = table.runner_up(r, u, eligible)) {
+    const ChannelBidSubmission& runner_up = table.entry(*second, r);
+    query.runner_up_sealed = runner_up.sealed;
+    query.runner_up_family = runner_up.value_family;
+    query.runner_up_ct = runner_up.paillier_ct;
+  }
+  return query;
+}
+
 MaintainedRoundOutcome LppaAuction::allocate_and_charge(
     const std::vector<BidSubmission>& bids,
-    const auction::ConflictGraph& conflicts, auction::BidTableView& table,
+    const auction::ConflictGraph& conflicts, MaskedBidTable& table,
     const std::vector<bool>& live, Rng& rng, obs::Span* parent) {
-  LPPA_REQUIRE(live.size() == bids.size(), "live mask must cover every slot");
+  LPPA_REQUIRE(live.size() == bids.size() && table.num_users() == bids.size(),
+               "live mask and table must cover every slot");
   obs::MetricsRegistry* const m = config_.metrics;
 
   obs::Span allocate_span(m, "auction.allocate", parent);
@@ -155,53 +174,30 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
   std::vector<auction::Award>& awards = result.awards;
 
   // --- Charging through the periodically-available TTP --------------------
+  // Queries go out in award order and process_batch answers in query
+  // order, so result i of a batch prices award `charged + i`.
   std::vector<ChargeQuery> pending;
+  std::size_t charged = 0;
   auto flush = [&] {
     if (pending.empty()) return;
-    const auto results = ttp_.process_batch(pending);
-    for (const auto& res : results) {
-      for (auto& award : awards) {
-        if (award.user == res.user && award.channel == res.channel) {
-          if (res.manipulated) {
-            ++result.manipulations_detected;
-            award.valid = false;
-            award.charge = 0;
-          } else {
-            award.valid = res.valid;
-            award.charge = res.charge;
-          }
-        }
+    for (const auto& res : ttp_.process_batch(pending)) {
+      auction::Award& award = awards[charged++];
+      LPPA_REQUIRE(award.user == res.user && award.channel == res.channel,
+                   "TTP answered out of query order");
+      if (res.manipulated) {
+        ++result.manipulations_detected;
+        award.valid = false;
+        award.charge = 0;
+      } else {
+        award.valid = res.valid;
+        award.charge = res.charge;
       }
     }
     pending.clear();
   };
   for (const auto& award : awards) {
-    const ChannelBidSubmission& entry = bids[award.user].channels[award.channel];
-    ChargeQuery query{award.user,         award.channel, entry.sealed,
-                      entry.value_family, entry.paillier_ct,
-                      std::nullopt,       std::nullopt,  0};
-    if (config_.charging_rule == ChargingRule::kSecondPrice) {
-      // The runner-up of the column among all other LIVE bidders, found
-      // with the same masked tournament the allocator uses.  Dead roster
-      // slots hold stale masks from before their departure and must not
-      // leak into the price.
-      std::optional<UserId> second;
-      for (UserId u = 0; u < bids.size(); ++u) {
-        if (u == award.user || !live[u]) continue;
-        if (!second ||
-            !config_.backend->ge(bids[*second].channels[award.channel],
-                                 bids[u].channels[award.channel])) {
-          second = u;
-        }
-      }
-      if (second) {
-        const auto& runner_up = bids[*second].channels[award.channel];
-        query.runner_up_sealed = runner_up.sealed;
-        query.runner_up_family = runner_up.value_family;
-        query.runner_up_ct = runner_up.paillier_ct;
-      }
-    }
-    pending.push_back(std::move(query));
+    pending.push_back(charge_query(table, award.user, award.channel,
+                                   config_.charging_rule, live));
     if (pending.size() >= config_.ttp_batch_size) flush();
   }
   flush();

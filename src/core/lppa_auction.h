@@ -59,17 +59,17 @@ struct LppaConfig {
   /// pinned by tests/shard_differential_test.
   std::size_t num_shards = 1;
   /// The resolved crypto backend driving every masked comparison this
-  /// round (bid-table sorts, argmax merges, the second-price runner-up
-  /// scan).  Null means "resolve from bid.backend": LppaAuction's
-  /// constructor fills it in from its own TTP, so embedders only ever
-  /// set bid.backend.  Wire sessions that restore snapshots receive the
-  /// TTP's backend explicitly through the same field.  Not owned.
+  /// round (bid-table sorts, argmax and runner-up merges).  Null means
+  /// "resolve from bid.backend": LppaAuction's constructor fills it in
+  /// from its own TTP, so embedders only ever set bid.backend.  Wire
+  /// sessions that restore snapshots receive the TTP's backend
+  /// explicitly through the same field.  Not owned.
   const crypto::BidBackend* backend = nullptr;
   /// Optional observability sink (obs/metrics.h): when set, every round
   /// records per-phase spans (auction.round > submit / validate /
-  /// conflict_graph / allocate / charging), phase counters, and argmax
-  /// strategy counters into it.  Null (the default) makes every
-  /// instrumentation site a branch-and-skip.  Not owned; the caller
+  /// conflict_graph / bid_table / allocate / charging), phase counters,
+  /// and argmax strategy counters into it.  Null (the default) makes
+  /// every instrumentation site a branch-and-skip.  Not owned; the caller
   /// keeps the registry alive for the config's lifetime.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -99,6 +99,12 @@ struct MaintainedRoundOutcome {
   std::size_t manipulations_detected = 0;
 };
 
+/// The TTP query pricing table user u's award of channel r: u's masked
+/// entry plus, under second price, the column runner-up's among
+/// `eligible` users.  Shared by the engine and the wire session.
+ChargeQuery charge_query(const MaskedBidTable& table, UserId u, ChannelId r,
+                         ChargingRule rule, const std::vector<bool>& eligible);
+
 class LppaAuction {
  public:
   LppaAuction(LppaConfig config, std::uint64_t ttp_seed);
@@ -109,17 +115,17 @@ class LppaAuction {
 
   /// The auctioneer+TTP tail of a round over pre-built state: greedy
   /// allocation on `table` (which it consumes — pass a clone of a
-  /// maintained table) followed by batched TTP charging.  `bids` backs
-  /// the charge queries and the second-price runner-up scan; `live`
-  /// marks which roster slots currently participate — dead slots hold
-  /// stale masked submissions and must never be consulted as runner-up
-  /// candidates (they cannot win: the table has them tombstoned).
+  /// maintained table) followed by batched TTP charging.  `table` must
+  /// be built over `bids`; `live` marks which roster slots currently
+  /// participate — dead slots hold stale masked submissions and must
+  /// never be consulted as runner-up candidates (they cannot win: the
+  /// table has them tombstoned).
   /// run() is exactly this helper applied to a freshly built all-live
   /// round, so maintained churn rounds and from-scratch rounds share one
   /// charging/validation path byte for byte.
   MaintainedRoundOutcome allocate_and_charge(
       const std::vector<BidSubmission>& bids,
-      const auction::ConflictGraph& conflicts, auction::BidTableView& table,
+      const auction::ConflictGraph& conflicts, MaskedBidTable& table,
       const std::vector<bool>& live, Rng& rng, obs::Span* parent = nullptr);
 
   const LppaConfig& config() const noexcept { return config_; }

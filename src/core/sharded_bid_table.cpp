@@ -1,5 +1,7 @@
 #include "core/sharded_bid_table.h"
 
+#include <algorithm>
+
 #include "common/thread_pool.h"
 #include "obs/span.h"
 
@@ -163,36 +165,51 @@ ShardedBidTable ShardedBidTable::clone() const {
   return copy;
 }
 
+template <typename Local>
+std::optional<auction::UserId> ShardedBidTable::merge(
+    ChannelId r, const Local& local) const {
+  std::vector<UserId> candidates;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s] == nullptr) continue;
+    if (const auto u = local(s, *shards_[s])) {
+      candidates.push_back(members_[s][*u]);
+    }
+  }
+  // Global ids interleave across shards, so visit in id order: then only
+  // a strictly greater challenger replaces (one ge() per step), giving
+  // the single-table stable-sort / first-seen-scan answer.
+  std::sort(candidates.begin(), candidates.end());
+  std::optional<UserId> best;
+  for (const UserId g : candidates) {
+    if (!best || !backend_->ge((*submissions_)[*best].channels[r],
+                               (*submissions_)[g].channels[r])) {
+      best = g;
+    }
+  }
+  return best;
+}
+
 std::optional<auction::UserId> ShardedBidTable::argmax_in_column(
     ChannelId r) const {
   LPPA_REQUIRE(r < channels_, "bid table index out of range");
   obs::Span merge_span(metrics_, "shard.argmax");
-  std::optional<UserId> best;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s] == nullptr) continue;
-    const auto local = shards_[s]->argmax_in_column(r);
-    if (!local) continue;
-    const UserId g = members_[s][*local];
-    if (!best) {
-      best = g;
-      continue;
-    }
-    const auto& challenger = (*submissions_)[g].channels[r];
-    const auto& incumbent = (*submissions_)[*best].channels[r];
-    const bool challenger_ge = backend_->ge(challenger, incumbent);
-    // Strictly greater replaces; a masked tie keeps the lower GLOBAL id
-    // (global ids interleave across shards, so the explicit comparison —
-    // not the visit order — carries the tie-break).  The result is the
-    // highest-value live entry with the lowest id among equals: exactly
-    // the single-table stable-sort / first-seen-scan winner.
-    if (challenger_ge && !backend_->ge(incumbent, challenger)) {
-      best = g;
-    } else if (challenger_ge && g < *best) {
-      best = g;
-    }
-  }
   if (metrics_ != nullptr) metrics_->counter("shard.argmax_merges").inc();
-  return best;
+  return merge(r, [&](std::size_t, const EncryptedBidTable& shard) {
+    return shard.argmax_in_column(r);
+  });
+}
+
+std::optional<auction::UserId> ShardedBidTable::runner_up(
+    ChannelId r, UserId winner, const std::vector<bool>& eligible) const {
+  LPPA_REQUIRE(winner < users_ && r < channels_,
+               "bid table index out of range");
+  return merge(r, [&](std::size_t s, const EncryptedBidTable& shard) {
+    return shard.rival_max(r,
+                           shard_of_[winner] == s
+                               ? std::optional<UserId>(local_index_[winner])
+                               : std::nullopt,
+                           eligible);
+  });
 }
 
 const ChannelBidSubmission& ShardedBidTable::entry(UserId u,

@@ -39,7 +39,7 @@ class MetricsRegistry;
 
 namespace lppa::core {
 
-class ShardedBidTable final : public auction::BidTableView {
+class ShardedBidTable final : public MaskedBidTable {
  public:
   /// Builds per-shard tables over `submissions` partitioned by
   /// `shard_of` (shard_of[u] < num_shards; empty shards are legal).
@@ -111,16 +111,26 @@ class ShardedBidTable final : public auction::BidTableView {
   bool empty() const noexcept override { return live_ == 0; }
 
   /// The masked entry by GLOBAL user id (used for charge queries).
-  const ChannelBidSubmission& entry(UserId u, ChannelId r) const;
+  const ChannelBidSubmission& entry(UserId u, ChannelId r) const override;
+
+  /// Per-shard runner-ups merged like argmax: <= num_shards - 1 ge().
+  std::optional<UserId> runner_up(
+      ChannelId r, UserId winner,
+      const std::vector<bool>& eligible) const override;
 
   /// Global EncryptedBidTable-format image (see class comment).
-  Bytes serialize() const;
+  Bytes serialize() const override;
 
  private:
   ShardedBidTable() = default;  ///< used by clone only
 
   std::size_t idx(UserId u, ChannelId r) const;
   void build_shards(ArgmaxStrategy strategy, std::size_t num_threads);
+
+  /// The highest of the per-shard answers `local(s, table)` (local ids)
+  /// in column r, lowest global id among equals.
+  template <typename Local>
+  std::optional<UserId> merge(ChannelId r, const Local& local) const;
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
   std::shared_ptr<const std::vector<BidSubmission>> owned_;  ///< restore path

@@ -364,22 +364,24 @@ void AuctioneerSession::run_allocation(Rng& rng) {
 
   compact_participants();
   if (config_.num_shards > 1) {
-    sharded_table_.emplace(bid_store_, config_.num_channels,
-                           core::ShardedBidTable::contiguous_shards(
-                               bid_store_.size(), config_.num_shards),
-                           config_.num_shards, config_.argmax_strategy,
-                           config_.num_threads, config_.metrics,
-                           config_.backend);
-    awards_ = auction::greedy_allocate(*sharded_table_, *conflicts_, rng);
+    table_ = std::make_unique<core::ShardedBidTable>(
+        bid_store_, config_.num_channels,
+        core::ShardedBidTable::contiguous_shards(bid_store_.size(),
+                                                 config_.num_shards),
+        config_.num_shards, config_.argmax_strategy, config_.num_threads,
+        config_.metrics, config_.backend);
   } else {
-    table_.emplace(bid_store_, config_.num_channels,
-                   core::ArgmaxStrategy::kSortedColumns, /*sort_threads=*/1,
-                   config_.backend);
-    awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
+    // One sort thread: a 4-SU socket round is all fixed cost, and waking
+    // the pool would dominate it.
+    table_ = std::make_unique<core::EncryptedBidTable>(
+        bid_store_, config_.num_channels, config_.argmax_strategy,
+        /*sort_threads=*/1, config_.backend);
   }
+  awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
   for (auto& award : awards_) {
     award.user = participants_[award.user];
   }
+  index_awards();
   charge_done_.assign(awards_.size(), false);
   allocated_ = true;
   if (journal_ != nullptr) {
@@ -387,11 +389,28 @@ void AuctioneerSession::run_allocation(Rng& rng) {
   }
 }
 
-const core::BidSubmission& AuctioneerSession::bid_of(
-    auction::UserId user) const {
+std::size_t AuctioneerSession::slot_of(auction::UserId user) const {
   const std::size_t slot = compact_index_[user];
   LPPA_REQUIRE(slot != kNoSlot, "user is not a participant");
-  return bid_store_[slot];
+  return slot;
+}
+
+void AuctioneerSession::index_awards() {
+  award_of_user_.assign(num_users_, kNoSlot);
+  for (std::size_t i = 0; i < awards_.size(); ++i) {
+    std::size_t& slot = award_of_user_[awards_[i].user];
+    LPPA_PROTOCOL_CHECK(slot == kNoSlot, "two awards for one user");
+    slot = i;
+  }
+}
+
+std::optional<std::size_t> AuctioneerSession::award_of(
+    const core::ChargeResult& res) const {
+  // The TTP's reply is peer input, and may arrive before any allocation.
+  if (res.user >= award_of_user_.size()) return {};
+  const std::size_t i = award_of_user_[res.user];
+  if (i == kNoSlot || awards_[i].channel != res.channel) return {};
+  return i;
 }
 
 std::vector<Bytes> AuctioneerSession::charge_query_envelopes() const {
@@ -406,28 +425,15 @@ std::vector<Bytes> AuctioneerSession::charge_query_envelopes() const {
     batches.push_back(e.serialize());
     pending.clear();
   };
+  // Every participant is a rival.  The table holds participants only, in
+  // compacted ids ascending like the original ones, so its lowest-id
+  // tie-break is the original-id one.
+  const std::vector<bool> everyone(bid_store_.size(), true);
   for (const auto& award : awards_) {
-    const auto& entry = bid_of(award.user).channels[award.channel];
-    core::ChargeQuery query{award.user,         award.channel, entry.sealed,
-                            entry.value_family, entry.paillier_ct,
-                            std::nullopt,       std::nullopt,  0};
-    if (config_.charging_rule == core::ChargingRule::kSecondPrice) {
-      std::optional<auction::UserId> second;
-      for (const std::size_t u : participants_) {
-        if (u == award.user) continue;
-        if (!second ||
-            !config_.backend->ge(bid_of(*second).channels[award.channel],
-                                 bid_of(u).channels[award.channel])) {
-          second = u;
-        }
-      }
-      if (second) {
-        const auto& runner_up = bid_of(*second).channels[award.channel];
-        query.runner_up_sealed = runner_up.sealed;
-        query.runner_up_family = runner_up.value_family;
-        query.runner_up_ct = runner_up.paillier_ct;
-      }
-    }
+    core::ChargeQuery query =
+        core::charge_query(*table_, slot_of(award.user), award.channel,
+                           config_.charging_rule, everyone);
+    query.user = award.user;
     pending.push_back(std::move(query));
     if (pending.size() >= config_.ttp_batch_size) flush();
   }
@@ -444,32 +450,20 @@ void AuctioneerSession::ingest_charge_results(const Bytes& envelope_bytes) {
   // prices no award for the first time — changes nothing and is NOT
   // journaled, which keeps redeliveries after a recovery from bloating
   // the log.
-  if (journal_ != nullptr) {
-    bool advances = false;
-    for (const auto& res : results) {
-      for (std::size_t i = 0; i < awards_.size(); ++i) {
-        if (awards_[i].user == res.user && awards_[i].channel == res.channel &&
-            !charge_done_[i]) {
-          advances = true;
-        }
-      }
-    }
-    if (advances) {
-      journal_->append(JournalRecordType::kChargeCommit, envelope_bytes);
-    }
+  if (journal_ != nullptr &&
+      std::any_of(results.begin(), results.end(), [&](const auto& res) {
+        const auto i = award_of(res);
+        return i && !charge_done_[*i];
+      })) {
+    journal_->append(JournalRecordType::kChargeCommit, envelope_bytes);
   }
   for (const auto& res : results) {
-    bool matched = false;
-    for (std::size_t i = 0; i < awards_.size(); ++i) {
-      auto& award = awards_[i];
-      if (award.user == res.user && award.channel == res.channel) {
-        award.valid = res.valid && !res.manipulated;
-        award.charge = res.manipulated ? 0 : res.charge;
-        charge_done_[i] = true;
-        matched = true;
-      }
-    }
-    LPPA_PROTOCOL_CHECK(matched, "charge result for an unknown award");
+    const auto i = award_of(res);
+    LPPA_PROTOCOL_CHECK(i.has_value(), "charge result for an unknown award");
+    auto& award = awards_[*i];
+    award.valid = res.valid && !res.manipulated;
+    award.charge = res.manipulated ? 0 : res.charge;
+    charge_done_[*i] = true;
   }
 }
 
@@ -531,8 +525,7 @@ Bytes AuctioneerSession::snapshot() const {
   if (allocated_) {
     // Both tables emit the same global image, so snapshots taken under
     // any shard count restore under any other.
-    w.bytes(sharded_table_ ? sharded_table_->serialize()
-                           : table_->serialize());
+    w.bytes(table_->serialize());
     w.u32(static_cast<std::uint32_t>(awards_.size()));
     for (std::size_t i = 0; i < awards_.size(); ++i) {
       const auto& a = awards_[i];
@@ -627,10 +620,11 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
     LPPA_PROTOCOL_CHECK(finalized_, "snapshot allocated without finalizing");
     // The conflict graph is rebuilt from the restored location
     // submissions — deterministic, no randomness — so only the bid
-    // table's consumed-cell state needs the serialized image.
+    // table's consumed-cell state needs the serialized image.  One sort
+    // thread, as in run_allocation.
     compact_participants();
     core::EncryptedBidTable global = core::EncryptedBidTable::deserialize(
-        r.bytes(), core::ArgmaxStrategy::kSortedColumns, /*sort_threads=*/1,
+        r.bytes(), config_.argmax_strategy, /*sort_threads=*/1,
         config_.backend);
     LPPA_PROTOCOL_CHECK(global.num_users() == participants_.size() &&
                             global.num_channels() == config_.num_channels,
@@ -639,14 +633,15 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
       // Re-shard the restored image: the snapshot may have been taken
       // under any shard count (including 1) — the global image plus the
       // deterministic contiguous partition reproduces the exact table.
-      sharded_table_ = core::ShardedBidTable::restore(
-          std::move(global),
-          core::ShardedBidTable::contiguous_shards(participants_.size(),
-                                                   config_.num_shards),
-          config_.num_shards, config_.argmax_strategy, config_.num_threads,
-          config_.metrics);
+      table_ = std::make_unique<core::ShardedBidTable>(
+          core::ShardedBidTable::restore(
+              std::move(global),
+              core::ShardedBidTable::contiguous_shards(participants_.size(),
+                                                       config_.num_shards),
+              config_.num_shards, config_.argmax_strategy,
+              config_.num_threads, config_.metrics));
     } else {
-      table_ = std::move(global);
+      table_ = std::make_unique<core::EncryptedBidTable>(std::move(global));
     }
     const std::uint32_t num_awards = r.u32();
     awards_.reserve(num_awards);
@@ -667,6 +662,7 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
       awards_.push_back(a);
       charge_done_.push_back(done != 0);
     }
+    index_awards();
     allocated_ = true;
   }
   LPPA_PROTOCOL_CHECK(r.at_end(), "trailing bytes after session snapshot");

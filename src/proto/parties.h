@@ -7,6 +7,7 @@
 // the TrustedThirdParty.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -202,8 +203,13 @@ class AuctioneerSession {
   IngestResult classify_and_store(const Bytes& envelope_bytes,
                                   std::string* error);
   void note_ingest(IngestResult result) const;
-  const core::BidSubmission& bid_of(auction::UserId user) const;
+  std::size_t slot_of(auction::UserId user) const;  ///< into bid_store_
   void compact_participants();
+  /// Rebuilds award_of_user_; a second award for one user is a damaged
+  /// snapshot (Algorithm 3 retires a winner's whole row).
+  void index_awards();
+  /// The award a TTP result prices, as a position in awards_.
+  std::optional<std::size_t> award_of(const core::ChargeResult& res) const;
 
   core::LppaConfig config_;
   std::size_t num_users_;
@@ -224,17 +230,15 @@ class AuctioneerSession {
   /// The masked bid table as the allocator left it (cells consumed).
   /// References bid_store_ on the run_allocation path and owns its
   /// submissions on the restore path; the session is used in place by
-  /// the drivers, never moved, so the reference stays valid.
-  std::optional<core::EncryptedBidTable> table_;
-  /// The partitioned twin of table_, used when config_.num_shards > 1.
-  /// The wire session never sees tile geometry (submissions are masked),
-  /// so it shards with the geometry-free contiguous partition — the
-  /// partition choice never affects answers, only locality.  Snapshots
-  /// stay in the global EncryptedBidTable image format either way, so a
-  /// journal written under num_shards=1 restores into a sharded session
-  /// and vice versa.
-  std::optional<core::ShardedBidTable> sharded_table_;
+  /// the drivers, never moved, so the reference stays valid.  With
+  /// config_.num_shards > 1 it is a ShardedBidTable over the
+  /// geometry-free contiguous partition (the wire session never sees tile
+  /// geometry, and the partition never affects answers).  Snapshots use
+  /// the global image either way, so journals interchange across shard
+  /// counts.
+  std::unique_ptr<core::MaskedBidTable> table_;
   std::vector<auction::Award> awards_;
+  std::vector<std::size_t> award_of_user_;  ///< original id -> awards_ slot
   std::vector<bool> charge_done_;  ///< per-award TTP result received
   bool allocated_ = false;
   std::size_t churn_ops_ = 0;  ///< applied churn operations (see getter)

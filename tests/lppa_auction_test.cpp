@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+
+#include "obs/metrics.h"
 
 namespace lppa::core {
 namespace {
@@ -249,6 +252,39 @@ TEST(LppaAuction, SecondPriceChargeEqualsColumnRunnerUp) {
   const auto& top = result.outcome.awards.front();
   EXPECT_EQ(top.user, 1u);     // bid 11 wins first
   EXPECT_EQ(top.charge, 7u);   // pays the runner-up price
+}
+
+TEST(LppaAuction, SecondPriceRoundRecordsEveryLayerSpan) {
+  // Structure only, no timing: each layer of a metrics-enabled round is
+  // exactly one span, and each is a direct child of auction.round.
+  const World w = make_world(24, 3, 402);
+  obs::MetricsRegistry reg;
+  auto cfg = make_config(3, 0.0);
+  cfg.charging_rule = ChargingRule::kSecondPrice;
+  cfg.metrics = &reg;
+  LppaAuction engine(cfg, 5);
+  Rng rng(8);
+  engine.run(w.locations, w.bids, rng);
+
+  std::uint64_t round_id = 0;
+  std::map<std::string, std::uint64_t> parent_of;
+  for (const auto& span : reg.spans()) {
+    if (span.name == "auction.round") {
+      EXPECT_EQ(round_id, 0u) << "one round, one round span";
+      EXPECT_EQ(span.parent, 0u);
+      round_id = span.id;
+    } else {
+      EXPECT_TRUE(parent_of.emplace(span.name, span.parent).second)
+          << span.name << " recorded twice";
+    }
+  }
+  ASSERT_NE(round_id, 0u);
+  for (const char* layer :
+       {"auction.submit", "auction.validate", "auction.conflict_graph",
+        "auction.bid_table", "auction.allocate", "auction.charging"}) {
+    ASSERT_TRUE(parent_of.count(layer)) << layer << " missing";
+    EXPECT_EQ(parent_of.at(layer), round_id) << layer;
+  }
 }
 
 TEST(LppaAuction, RevenueNeverExceedsPlainAuction) {
