@@ -1,4 +1,4 @@
-// Robustness ablation: the hardened wire round under escalating message
+// Robustness ablation: the wire round under escalating message
 // faults (docs/robustness.md).
 //
 // Sweeps the per-link drop rate, then mixes in Byzantine SUs, and for
@@ -46,7 +46,7 @@ void write_json(const std::string& path, const std::vector<FaultCell>& cells) {
   bench::close_output_or_die(out, path);
 }
 
-// One hardened round under `spec` with `byzantine` marked, compared
+// One wire round under `spec` with `byzantine` marked, compared
 // against the fault-free round that excludes exactly the parties lost.
 // `metrics` (nullable) observes the faulty run only: bus traffic, fault
 // verdicts, TTP batches, session ingest verdicts, wire-phase spans.
@@ -72,9 +72,8 @@ FaultCell run_cell(const core::LppaConfig& config,
   bus.set_fault_injector(&injector);
   core::LppaConfig observed = config;
   observed.metrics = metrics;
-  Rng rng(5 + seed);
-  const auto faulty = proto::run_hardened_wire_auction(
-      observed, ttp, locations, bids, bus, rng);
+  const auto faulty = proto::run_recoverable_wire_auction(
+      observed, ttp, locations, bids, bus, 5 + seed);
   cell.report = faulty.report;
 
   std::vector<std::size_t> lost;
@@ -83,9 +82,9 @@ FaultCell run_cell(const core::LppaConfig& config,
 
   core::TrustedThirdParty clean_ttp(config.bid, 77 + seed);
   proto::MessageBus clean_bus;
-  Rng clean_rng(5 + seed);
-  const auto clean = proto::run_hardened_wire_auction(
-      config, clean_ttp, locations, bids, clean_bus, clean_rng, {}, lost);
+  const auto clean = proto::run_recoverable_wire_auction(
+      config, clean_ttp, locations, bids, clean_bus, 5 + seed, {},
+      /*crashes=*/nullptr, lost);
   cell.awards_match_restricted =
       faulty.report.completed && clean.awards == faulty.awards;
   return cell;
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
              cells);
   bench::dump_metrics(registry, args);
   bench::emit(table, args,
-              "Hardened round under drop + Byzantine faults "
+              "Wire round under drop + Byzantine faults "
               "(awards vs fault-free run restricted to survivors)");
   std::cout
       << "Expected: every row completes; Byzantine SUs are excluded and\n"

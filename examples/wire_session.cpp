@@ -62,18 +62,20 @@ int main(int argc, char** argv) {
   ttp.set_metrics(metrics);
   proto::MessageBus bus;
   bus.set_metrics(metrics);
-  Rng rng(9);
-  const auto result = proto::run_wire_auction(
-      cfg, ttp, scenario.locations(), scenario.bids(), bus, rng);
+  const auto result = proto::run_recoverable_wire_auction(
+      cfg, ttp, scenario.locations(), scenario.bids(), bus, /*seed=*/9);
 
   std::cout << "=== link traffic =============================================\n";
-  const auto su_to_auc = result.submission_traffic;
-  std::cout << "  SUs -> auctioneer : " << su_to_auc.messages
-            << " messages, " << su_to_auc.bytes / 1024 << " KiB\n";
   const auto to_ttp =
       bus.link(proto::Address::auctioneer(), proto::Address::ttp());
   const auto from_ttp =
       bus.link(proto::Address::ttp(), proto::Address::auctioneer());
+  // Everything into the auctioneer, minus the TTP's leg, is SU traffic.
+  auto su_to_auc = bus.total_into(proto::Address::Kind::kAuctioneer);
+  su_to_auc.messages -= from_ttp.messages;
+  su_to_auc.bytes -= from_ttp.bytes;
+  std::cout << "  SUs -> auctioneer : " << su_to_auc.messages
+            << " messages, " << su_to_auc.bytes / 1024 << " KiB\n";
   std::cout << "  auctioneer -> TTP : " << to_ttp.messages << " batches, "
             << to_ttp.bytes << " bytes\n"
             << "  TTP -> auctioneer : " << from_ttp.messages << " batches, "
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
   std::size_t valid = 0;
   for (const auto& a : result.awards) valid += a.valid ? 1 : 0;
   std::cout << "  " << result.awards.size() << " awards (" << valid
-            << " validly charged) across " << result.ttp_batches
+            << " validly charged) across " << ttp.batches_processed()
             << " TTP batches\n"
             << "  every byte of this auction crossed the bus as a\n"
                "  serialized message and was parsed back on arrival.\n";

@@ -46,12 +46,7 @@ struct ClientPoolConfig {
   obs::MetricsRegistry* metrics = nullptr;   ///< not owned; may be null
 };
 
-/// One SU's cached wire bytes (built once, resent verbatim forever).
-struct SuEnvelopes {
-  std::size_t su = 0;
-  Bytes location;
-  Bytes bid;
-};
+using proto::SuEnvelopes;
 
 class ClientPool {
  public:

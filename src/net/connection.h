@@ -87,6 +87,13 @@ class Connection {
   bool read_deadline_expired(SteadyClock::time_point now) const;
   bool write_deadline_expired(SteadyClock::time_point now) const;
 
+  /// True while the decoder holds the start of a frame not yet complete.
+  bool mid_frame() const noexcept { return decoder_.buffered() > 0; }
+  /// When the peer last delivered bytes (construction time until then).
+  SteadyClock::time_point last_read_progress() const noexcept {
+    return last_read_progress_;
+  }
+
   /// SU index this connection authenticated as (first accepted
   /// envelope's sender); unbound connections cannot receive nacks.
   std::optional<std::size_t> bound_su;

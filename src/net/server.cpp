@@ -3,29 +3,12 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "proto/journal.h"
 
 namespace lppa::net {
 
 namespace {
 
 constexpr std::uint64_t kListenerToken = 0;
-
-std::uint8_t missing_mask(const proto::AuctioneerSession& session,
-                          std::size_t u) {
-  return static_cast<std::uint8_t>(
-      (session.has_location(u) ? 0 : proto::RetransmitRequest::kLocation) |
-      (session.has_bid(u) ? 0 : proto::RetransmitRequest::kBid));
-}
-
-Bytes make_nack_frame(std::uint8_t mask) {
-  proto::Envelope nack;
-  nack.type = proto::MessageType::kRetransmitRequest;
-  proto::RetransmitRequest request;
-  request.mask = mask;
-  nack.payload = request.serialize();
-  return encode_frame(nack.serialize());
-}
 
 Bytes make_ack_frame(std::uint64_t su, std::uint8_t mask) {
   proto::Envelope ack;
@@ -54,30 +37,19 @@ AuctioneerServer::AuctioneerServer(
     std::vector<bool> participating, core::TrustedThirdParty& ttp,
     std::uint64_t seed, proto::RoundJournal* journal,
     proto::RoundReport* report, proto::CrashInjector* crashes,
-    std::size_t start_ticks)
-    : config_(config), num_users_(num_users), server_config_(server_config),
-      round_(round), participating_(std::move(participating)), seed_(seed),
-      journal_(journal), report_(report), crashes_(crashes),
-      start_ticks_(start_ticks), ttp_service_(ttp),
-      session_(config, num_users), endpoint_(server_config.endpoint),
+    std::size_t start_ticks, const obs::Span* round_span)
+    : num_users_(num_users), server_config_(server_config), round_(round),
+      report_(report), crashes_(crashes), start_ticks_(start_ticks),
+      ttp_service_(ttp),
+      core_(config, num_users, round_, std::move(participating), seed,
+            journal, report, crashes, round_span),
+      wave_(core_.resume_wave()), endpoint_(server_config.endpoint),
       pool_(1) {
-  LPPA_REQUIRE(journal_ != nullptr && report_ != nullptr,
-               "server needs a journal and a report");
-  LPPA_REQUIRE(participating_.size() == num_users_,
-               "participating mask must cover every SU");
-  LPPA_REQUIRE(round_.min_quorum >= 1,
-               "a round needs a quorum of at least 1");
   LPPA_REQUIRE(server_config_.tick.count() > 0, "tick must be positive");
-
-  // Crash recovery: rebuild the session from the journal, then attach it
-  // (replay must not re-journal what is already durable).
-  wave_ = proto::replay_session_journal(*journal_, session_, num_users_,
-                                        *report_);
   // Journaled churn operations have already been re-applied by replay;
   // the scripted schedule resumes right after them.
-  churn_next_ = std::min(session_.churn_ops_applied(), round_.churn.size());
-  session_.attach_journal(journal_);
-  if (journal_->empty()) journal_->append_round_start(num_users_);
+  churn_next_ = std::min(core_.session().churn_ops_applied(),
+                         round_.churn.size());
 
   listener_ = listen_on(endpoint_, server_config_.listen_backlog);
   server_config.endpoint = endpoint_;  // ephemeral port resolved
@@ -164,6 +136,7 @@ void AuctioneerServer::run_loop() {
 void AuctioneerServer::loop_body() {
   obs::MetricsRegistry* const m = server_config_.metrics;
   started_at_ = SteadyClock::now();
+  wave_armed_at_ = started_at_;
   next_wave_at_ =
       started_at_ + 2 * round_.hardened.backoff_ticks(wave_) *
                         server_config_.tick;
@@ -171,7 +144,8 @@ void AuctioneerServer::loop_body() {
   // A restart that already committed admission (or allocation) goes
   // straight back to the protocol tail; reconnecting peers only ever
   // redeliver, which dedupes.
-  if (session_.admission_closed()) {
+  proto::AuctioneerSession& session = core_.session();
+  if (session.admission_closed()) {
     admission_open_ = false;
     commit_round();
   }
@@ -182,13 +156,13 @@ void AuctioneerServer::loop_body() {
   // models a crash with the operation durable but the round unfinished —
   // the restarted server replays the journal and resumes the schedule at
   // churn_next_.
-  if (!session_.admission_closed()) {
+  if (!session.admission_closed()) {
     while (churn_next_ < round_.churn.size()) {
       const SocketChurnOp& op = round_.churn[churn_next_];
       if (op.depart) {
-        session_.churn_depart(op.user);
+        session.churn_depart(op.user);
       } else {
-        session_.churn_return(op.user);
+        session.churn_return(op.user);
       }
       ++churn_next_;
       if (crashes_ != nullptr) {
@@ -300,18 +274,9 @@ void AuctioneerServer::loop_body() {
 
     // Completing the submission set closes admission without waiting for
     // the next wave timer.
-    if (admission_open_ && accepted_any) {
-      bool any_missing = false;
-      for (const std::size_t u : session_.missing_users()) {
-        if (participating_[u]) {
-          any_missing = true;
-          break;
-        }
-      }
-      if (!any_missing) {
-        admission_open_ = false;
-        commit_round();
-      }
+    if (admission_open_ && accepted_any && core_.missing().empty()) {
+      admission_open_ = false;
+      commit_round();
     }
 
     if (admission_open_) drive_admission_timers(now);
@@ -351,19 +316,10 @@ void AuctioneerServer::handle_frame(Peer& peer, const Bytes& frame,
       (env->type == proto::MessageType::kLocationSubmission ||
        env->type == proto::MessageType::kBidSubmission);
 
-  switch (session_.try_ingest(frame)) {
-    case proto::AuctioneerSession::IngestResult::kAccepted:
-      if (crashes_ != nullptr) {
-        crashes_->checkpoint(proto::CrashPoint::kAfterIngest);
-      }
-      break;
-    case proto::AuctioneerSession::IngestResult::kDuplicateRedelivery:
-      ++report_->duplicate_redeliveries;
-      break;
-    case proto::AuctioneerSession::IngestResult::kRejected:
-    case proto::AuctioneerSession::IngestResult::kEquivocation:
-      ++report_->rejected_messages;
-      return;  // no binding, no ack for garbage
+  using Ingest = proto::AuctioneerSession::IngestResult;
+  const Ingest outcome = core_.ingest(frame);
+  if (outcome == Ingest::kRejected || outcome == Ingest::kEquivocation) {
+    return;  // no binding, no ack for garbage
   }
 
   if (!is_submission || env->sender >= num_users_) return;
@@ -430,42 +386,47 @@ void AuctioneerServer::close_all_abortive() {
 void AuctioneerServer::drive_admission_timers(SteadyClock::time_point now) {
   if (now < next_wave_at_) return;
   obs::MetricsRegistry* const m = server_config_.metrics;
+  const auto arm_next_wave = [&] {
+    wave_armed_at_ = now;
+    next_wave_at_ =
+        now + 2 * round_.hardened.backoff_ticks(wave_) * server_config_.tick;
+  };
 
-  std::vector<std::size_t> missing;
-  for (const std::size_t u : session_.missing_users()) {
-    if (participating_[u]) missing.push_back(u);
+  const auto verdict = core_.admission_step(wave_, ticks_now(now));
+  if (verdict == proto::RoundCore::Admission::kExhausted &&
+      final_wave_deferrals_ < round_.hardened.max_retries) {
+    // A slow link is not a silent SU: while any connection is mid-frame
+    // or has delivered bytes since the last wave, ingest is still making
+    // progress, and the final wave waits (boundedly) instead of striking.
+    // Any connection, not only the missing SUs' own: SUs can share a
+    // sender or a link, so a missing SU's bytes queue behind another's.
+    const bool receiving = std::any_of(
+        peers_.begin(), peers_.end(), [&](const auto& entry) {
+          const Connection& conn = entry.second->conn;
+          return conn.mid_frame() ||
+                 conn.last_read_progress() > wave_armed_at_;
+        });
+    if (receiving) {
+      ++final_wave_deferrals_;
+      arm_next_wave();
+      return;
+    }
   }
-  if (missing.empty()) {
-    admission_open_ = false;
-    commit_round();
-    return;
-  }
-  const std::size_t ticks = ticks_now(now);
-  if (round_.deadline_ticks > 0 && ticks >= round_.deadline_ticks) {
-    // Deadline gone (typically eaten by recoveries): commit with the
-    // quorum of journaled submissions instead of waiting out the waves.
-    report_->degraded = true;
-    admission_open_ = false;
-    commit_round();
-    return;
-  }
-  if (wave_ >= round_.hardened.max_retries) {
+  if (verdict != proto::RoundCore::Admission::kNack) {
     admission_open_ = false;
     commit_round();
     return;
   }
 
-  report_->retry_waves = std::max(report_->retry_waves, wave_ + 1);
-  for (const std::size_t u : missing) {
-    const std::uint8_t mask = missing_mask(session_, u);
-    journal_->append_nack(u, mask, wave_);
+  for (const std::size_t u : core_.missing()) {
+    const Bytes nack = core_.nack(u, wave_);
     if (m != nullptr) m->counter("net.nacks").inc();
     const auto bound = su_conn_.find(u);
     if (bound == su_conn_.end()) continue;  // not (re)connected yet
     const auto it = peers_.find(bound->second);
     if (it == peers_.end()) continue;
     Peer& peer = *it->second;
-    send_to_peer(peer, make_nack_frame(mask), now);
+    send_to_peer(peer, encode_frame(nack), now);
     if (peer.doomed) {
       evict(bound->second, /*abortive=*/false, "backpressure");
     } else {
@@ -473,60 +434,27 @@ void AuctioneerServer::drive_admission_timers(SteadyClock::time_point now) {
                 peer.conn.wants_write());
     }
   }
-  next_wave_at_ =
-      now + 2 * round_.hardened.backoff_ticks(wave_) * server_config_.tick;
+  arm_next_wave();
   ++wave_;
 }
 
 void AuctioneerServer::commit_round() {
   obs::MetricsRegistry* const m = server_config_.metrics;
-
-  if (!session_.allocation_done()) {
-    session_.finalize_participants(*report_);
-    LPPA_PROTOCOL_CHECK(
-        session_.participants().size() >= round_.min_quorum,
-        "round below quorum: " + std::to_string(round_.min_quorum) +
-            " participants required");
-    if (crashes_ != nullptr) {
-      crashes_->checkpoint(proto::CrashPoint::kAfterFinalize);
-    }
-
-    // Same allocation stream as every bus attempt: rebuild the generator
-    // from the seed and discard the SU-side fork the driver spent.
-    Rng master(seed_);
-    (void)master.fork();
-    session_.run_allocation(master);
-    if (crashes_ != nullptr) {
-      crashes_->checkpoint(proto::CrashPoint::kAfterAllocation);
-    }
-  }
+  core_.commit();
 
   // Charging against the co-located TTP service.  The budget check stays
   // (parity with the bus driver's loop shape) even though the in-process
   // call cannot lose batches.
-  const std::vector<Bytes> queries = session_.charge_query_envelopes();
-  while (!session_.charging_complete()) {
-    LPPA_PROTOCOL_CHECK(
-        report_->charge_attempts < round_.hardened.max_charge_attempts,
-        "TTP unreachable: charging incomplete after retry budget");
-    ++report_->charge_attempts;
+  proto::AuctioneerSession& session = core_.session();
+  const std::vector<Bytes> queries = session.charge_query_envelopes();
+  while (!session.charging_complete()) {
+    core_.charge_attempt();
     for (const Bytes& query : queries) {
-      session_.ingest_charge_results(ttp_service_.handle(query));
-      if (crashes_ != nullptr) {
-        crashes_->checkpoint(proto::CrashPoint::kAfterChargeCommit);
-      }
+      core_.charge(ttp_service_.handle(query));
     }
   }
 
-  if (crashes_ != nullptr) {
-    crashes_->checkpoint(proto::CrashPoint::kBeforePublish);
-  }
-  journal_->append(proto::JournalRecordType::kCommitted);
-
-  announcement_ = session_.winner_announcement();
-  report_->completed = true;
-  report_->journal_records = journal_->num_records();
-  report_->journal_bytes = journal_->data().size();
+  announcement_ = core_.publish();
   const auto now = SteadyClock::now();
   ticks_used_ = ticks_now(now);
   if (m != nullptr) m->counter("net.published_rounds").inc();

@@ -2,13 +2,16 @@
 // sockets.
 //
 // One epoll thread multiplexes every SU connection into a single
-// AuctioneerSession — the session code is unchanged from the in-process
-// bus path; this layer only moves bytes.  The round logic mirrors
-// proto::run_recoverable_wire_auction wave for wave, with the bus's
-// logical clock mapped onto wall time (one tick = ServerConfig::tick),
-// so a socket round at seed S commits byte-identical awards, charges
-// and announcement to a bus round at seed S (net_session_test pins
-// this, including under crash and fault injection).
+// proto::RoundCore — the same round core the in-process bus driver runs;
+// this layer only moves bytes and keeps the clock.  Nack waves follow
+// the bus's logical clock mapped onto wall time (one tick =
+// ServerConfig::tick), so a socket round at seed S commits
+// byte-identical awards, charges and announcement to a bus round at
+// seed S (net_session_test pins this, including under crash and fault
+// injection).  One wall-clock allowance has no bus counterpart: the
+// final wave is deferred (at most max_retries times) while any
+// connection is mid-frame or has delivered bytes since the previous
+// wave, so an SU on a slow link is not struck as silent.
 //
 // Robustness posture (docs/robustness.md has the full state machine):
 //   * admission control — at most max_connections peers; excess accepts
@@ -78,13 +81,9 @@ struct SocketChurnOp {
   std::size_t user = 0;
 };
 
-/// Round policy, mirroring proto::RecoverableSessionConfig field for
-/// field (ticks mean wall ticks here, bus ticks there).
-struct SocketRoundOptions {
-  proto::HardenedSessionConfig hardened;
-  std::size_t deadline_ticks = 0;  ///< 0 disables the round deadline
-  std::size_t min_quorum = 1;
-  std::size_t recovery_cost_ticks = 1;
+/// Round policy: the bus round's policy (ticks mean wall ticks here, bus
+/// ticks there) plus a scripted churn schedule.
+struct SocketRoundOptions : proto::RecoverableSessionConfig {
   /// Scripted churn schedule, applied in order before admission closes.
   /// Each operation is journaled write-ahead by the session and followed
   /// by a CrashPoint::kMidChurn checkpoint; a restarted server resumes
@@ -112,13 +111,15 @@ class AuctioneerServer {
   /// the round clock — the driver accumulates recovery costs there.
   /// None of the pointer parameters are owned; journal/report/crashes
   /// must outlive the server, and `report` is only driver-readable after
-  /// a terminal status.
+  /// a terminal status.  The attempt's spans (proto::RoundCore) nest
+  /// under `round_span` when one is given.
   AuctioneerServer(const core::LppaConfig& config, std::size_t num_users,
                    ServerConfig& server_config, SocketRoundOptions round,
                    std::vector<bool> participating,
                    core::TrustedThirdParty& ttp, std::uint64_t seed,
                    proto::RoundJournal* journal, proto::RoundReport* report,
-                   proto::CrashInjector* crashes, std::size_t start_ticks);
+                   proto::CrashInjector* crashes, std::size_t start_ticks,
+                   const obs::Span* round_span = nullptr);
 
   /// Stops the loop (if still running) and joins.  Deterministic with
   /// frames still queued: the loop thread is stopped FIRST (so nothing
@@ -163,13 +164,9 @@ class AuctioneerServer {
   void set_status(Status s);
 
   // --- immutable configuration ------------------------------------------
-  core::LppaConfig config_;
   std::size_t num_users_;
   ServerConfig server_config_;
   SocketRoundOptions round_;
-  std::vector<bool> participating_;
-  std::uint64_t seed_;
-  proto::RoundJournal* journal_;
   proto::RoundReport* report_;
   proto::CrashInjector* crashes_;
   std::size_t start_ticks_;
@@ -177,8 +174,9 @@ class AuctioneerServer {
 
   // --- loop-thread state (only touched by the epoll thread after
   // construction) ---------------------------------------------------------
-  proto::AuctioneerSession session_;
+  proto::RoundCore core_;
   std::size_t wave_ = 0;
+  std::size_t final_wave_deferrals_ = 0;
   std::size_t churn_next_ = 0;  ///< cursor into round_.churn
   Endpoint endpoint_;
   Fd listener_;
@@ -189,6 +187,7 @@ class AuctioneerServer {
   std::unordered_map<std::size_t, std::uint64_t> su_conn_;
   std::uint64_t next_conn_id_ = 1;
   SteadyClock::time_point started_at_;
+  SteadyClock::time_point wave_armed_at_;
   SteadyClock::time_point next_wave_at_;
   bool admission_open_ = true;
   Bytes announcement_;

@@ -1,12 +1,11 @@
-// Socket ports of the hardened / recoverable wire-auction drivers.
-//
-// These are the src/net twins of proto::run_hardened_wire_auction and
-// proto::run_recoverable_wire_auction: the same round semantics — nack
-// waves under exponential backoff, strike/equivocation bookkeeping,
+// The socket round driver: the src/net twin of
+// proto::run_recoverable_wire_auction.  Both drive the same
+// proto::RoundCore, so the round semantics are the same — nack waves
+// under exponential backoff, strike/equivocation bookkeeping,
 // deadline-quorum degradation, write-ahead journal recovery after a
-// mid-round auctioneer crash — but with every SU↔auctioneer message
-// travelling through a real nonblocking socket (TCP loopback or
-// Unix-domain) instead of the in-process MessageBus.
+// mid-round auctioneer crash — but every SU↔auctioneer message travels
+// through a real nonblocking socket (TCP loopback or Unix-domain)
+// instead of the in-process MessageBus.
 //
 // The invariant the tests pin: at the same seed, the socket round
 // commits byte-identical awards, charges and announcement to the bus
@@ -23,14 +22,9 @@
 
 namespace lppa::net {
 
-struct SocketAuctionResult {
-  std::vector<auction::Award> awards;
-  proto::RoundReport report;
-  /// The durable journal at round commit.
-  Bytes journal;
-  /// The published kWinnerAnnouncement envelope bytes, as every SU
-  /// received them over its socket.
-  Bytes announcement;
+/// The bus round's result (the announcement as every SU received it over
+/// its socket) plus what only a socket round has.
+struct SocketAuctionResult : proto::RecoverableWireResult {
   /// Location/bid envelope constructions performed — exactly
   /// 2 × participants when the zero-resubmission invariant holds.
   std::size_t envelopes_built = 0;
@@ -47,26 +41,14 @@ struct SocketAuctionResult {
 /// CrashInjector to kill the auctioneer at its checkpoints, a
 /// SocketFaultInjector to mangle client traffic, and `exclude` for SUs
 /// that sit the round out (their RNG streams are still consumed — same
-/// contract as the bus drivers).
+/// contract as the bus driver).  With the defaults this is the plain
+/// crash-free round.
 SocketAuctionResult run_recoverable_socket_auction(
     const core::LppaConfig& config, core::TrustedThirdParty& ttp,
     const std::vector<auction::SuLocation>& locations,
     const std::vector<auction::BidVector>& bids, std::uint64_t seed,
     ServerConfig server_config, SocketRoundOptions round = {},
     proto::CrashInjector* crashes = nullptr,
-    SocketFaultInjector* faults = nullptr,
-    const std::vector<std::size_t>& exclude = {});
-
-/// The hardened (crash-free) socket round: exactly
-/// run_recoverable_socket_auction with no crash injector and no
-/// deadline by default — the same byte-equivalence the bus drivers
-/// guarantee between their hardened and recoverable paths.
-SocketAuctionResult run_hardened_socket_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, std::uint64_t seed,
-    ServerConfig server_config,
-    const proto::HardenedSessionConfig& hardened = {},
     SocketFaultInjector* faults = nullptr,
     const std::vector<std::size_t>& exclude = {});
 

@@ -39,8 +39,8 @@ struct Address;  // proto/bus.h
 /// Tick-based delays vs wall-clock transports: `delay` holds a message
 /// for 1..max_delay_ticks *bus ticks*, and a tick is whatever the
 /// session driver says it is.  On the in-process MessageBus a tick is
-/// one MessageBus::advance() call — the hardened/recoverable sessions
-/// spend ticks explicitly (HardenedSessionConfig::backoff_ticks,
+/// one MessageBus::advance() call — the bus round driver spends ticks
+/// explicitly (HardenedSessionConfig::backoff_ticks,
 /// RecoverableSessionConfig::deadline_ticks), so delays and deadlines
 /// share one logical clock by construction.  The socket transport
 /// (src/net) has no advance(): it maps one tick to one wall-clock

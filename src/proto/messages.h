@@ -43,8 +43,8 @@ struct Envelope {
 };
 
 /// Auctioneer -> SU nack: which of the SU's submissions never arrived
-/// (or arrived damaged) and should be resent.  Sent during the hardened
-/// session's retry waves (proto/session.h).
+/// (or arrived damaged) and should be resent.  Sent during a round's
+/// retry waves (proto::RoundCore::nack, proto/session.h).
 struct RetransmitRequest {
   static constexpr std::uint8_t kLocation = 1;
   static constexpr std::uint8_t kBid = 2;

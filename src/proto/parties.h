@@ -53,7 +53,7 @@ class SuClient {
 /// the EncryptedBidTable.  Two ingestion modes share that validation:
 /// the strict ingest() throws on any problem (the classic lock-step
 /// session), while try_ingest() classifies the problem and keeps the
-/// session usable — the hardened session uses it to survive Byzantine
+/// session usable — the round drivers use it to survive Byzantine
 /// senders, corrupted links, and benign redeliveries, then finalizes the
 /// round over whichever users delivered valid submissions.
 class AuctioneerSession {

@@ -1,11 +1,12 @@
-// RoundReport: the per-round log of a hardened auction round.
+// RoundReport: the per-round log of a wire auction round.
 //
 // Graceful degradation is only useful if it is observable: when the
 // auctioneer completes a round without some parties, operators (and the
 // fault-injection tests) need to see exactly who was excluded, why, how
 // many retry waves it took, and what the network did.  One RoundReport
-// is produced per hardened round (proto/session.h) and accumulated per
-// experiment (sim/multi_round.h).
+// is produced per round by either round driver — its fields are filled
+// by proto::RoundCore (proto/session.h), so bus and socket rounds report
+// alike — and accumulated per experiment (sim/multi_round.h).
 #pragma once
 
 #include <cstddef>

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "proto/fault.h"
 #include "proto/journal.h"
 
@@ -23,259 +23,9 @@ std::size_t HardenedSessionConfig::backoff_ticks(
   return backoff_base_ticks << wave;
 }
 
-WireAuctionResult run_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-
-  const std::size_t n = bids.size();
-  const Address auctioneer = Address::auctioneer();
-  const Address ttp_addr = Address::ttp();
-
-  // --- SU side: mask and transmit (same RNG discipline as LppaAuction) ---
-  const core::SuKeyBundle keys = ttp.su_keys();
-  Rng su_master = rng.fork();
-  for (std::size_t u = 0; u < n; ++u) {
-    Rng su_rng = su_master.fork();
-    const SuClient client(u, config, keys);
-    bus.send(Address::su(u), auctioneer,
-             client.location_envelope(locations[u], su_rng));
-    bus.send(Address::su(u), auctioneer,
-             client.bid_envelope(bids[u], su_rng));
-  }
-
-  // --- Auctioneer: drain the queue, allocate, query the TTP --------------
-  AuctioneerSession session(config, n);
-  while (auto message = bus.receive(auctioneer)) {
-    session.ingest(*message);
-  }
-  LPPA_PROTOCOL_CHECK(session.ready(), "missing submissions on the bus");
-  session.run_allocation(rng);
-
-  WireAuctionResult result;
-  TtpService service(ttp);
-  for (const auto& query_envelope : session.charge_query_envelopes()) {
-    bus.send(auctioneer, ttp_addr, query_envelope);
-    const auto delivered = bus.receive(ttp_addr);
-    LPPA_PROTOCOL_CHECK(delivered.has_value(), "charge query lost on the bus");
-    bus.send(ttp_addr, auctioneer, service.handle(*delivered));
-    const auto response = bus.receive(auctioneer);
-    LPPA_PROTOCOL_CHECK(response.has_value(), "charge result lost on the bus");
-    session.ingest_charge_results(*response);
-    ++result.ttp_batches;
-  }
-
-  // --- Publication ---------------------------------------------------------
-  const Bytes announcement = session.winner_announcement();
-  const Envelope e = Envelope::deserialize(announcement);
-  result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-
-  result.submission_traffic = bus.total_into(Address::Kind::kAuctioneer);
-  // Subtract the TTP->auctioneer leg to isolate SU submissions.
-  const LinkStats ttp_to_auctioneer = bus.link(ttp_addr, auctioneer);
-  result.submission_traffic.messages -= ttp_to_auctioneer.messages;
-  result.submission_traffic.bytes -= ttp_to_auctioneer.bytes;
-
-  const LinkStats to_ttp = bus.link(auctioneer, ttp_addr);
-  result.charging_traffic.messages =
-      to_ttp.messages + ttp_to_auctioneer.messages;
-  result.charging_traffic.bytes = to_ttp.bytes + ttp_to_auctioneer.bytes;
-  return result;
-}
-
-HardenedWireResult run_hardened_wire_auction(
-    const core::LppaConfig& config, core::TrustedThirdParty& ttp,
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<auction::BidVector>& bids, MessageBus& bus, Rng& rng,
-    const HardenedSessionConfig& hardened,
-    const std::vector<std::size_t>& exclude) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-
-  const std::size_t n = bids.size();
-  const Address auctioneer = Address::auctioneer();
-  const Address ttp_addr = Address::ttp();
-
-  std::vector<bool> participating(n, true);
-  for (const std::size_t u : exclude) {
-    LPPA_REQUIRE(u < n, "excluded SU index out of range");
-    participating[u] = false;
-  }
-
-  HardenedWireResult result;
-  RoundReport& report = result.report;
-  report.num_users = n;
-
-  obs::MetricsRegistry* const m = config.metrics;
-  obs::Span round_span(m, "wire.round");
-  if (m != nullptr) m->counter("wire.rounds").inc();
-
-  // --- SU side: mask once, cache the envelopes for retransmission --------
-  // Every SU's stream is forked in index order whether or not it
-  // participates, so a run restricted to the survivors of a faulty run
-  // regenerates byte-identical submissions for them.
-  const core::SuKeyBundle keys = ttp.su_keys();
-  Rng su_master = rng.fork();
-  struct SuEndpoint {
-    Bytes location;
-    Bytes bid;
-  };
-  std::vector<SuEndpoint> endpoints(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    Rng su_rng = su_master.fork();
-    if (!participating[u]) continue;
-    const SuClient client(u, config, keys);
-    endpoints[u].location = client.location_envelope(locations[u], su_rng);
-    endpoints[u].bid = client.bid_envelope(bids[u], su_rng);
-    bus.send(Address::su(u), auctioneer, endpoints[u].location);
-    bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-  }
-
-  // --- Auctioneer: drain / nack / backoff until complete or give up ------
-  AuctioneerSession session(config, n);
-  const auto drain_auctioneer = [&] {
-    while (auto message = bus.receive(auctioneer)) {
-      switch (session.try_ingest(*message)) {
-        case AuctioneerSession::IngestResult::kAccepted:
-          break;
-        case AuctioneerSession::IngestResult::kDuplicateRedelivery:
-          ++report.duplicate_redeliveries;
-          break;
-        case AuctioneerSession::IngestResult::kRejected:
-        case AuctioneerSession::IngestResult::kEquivocation:
-          ++report.rejected_messages;
-          break;
-      }
-    }
-  };
-
-  obs::Span admission_span(m, "wire.admission", &round_span);
-  for (std::size_t wave = 0;; ++wave) {
-    drain_auctioneer();
-    std::vector<std::size_t> missing;
-    for (const std::size_t u : session.missing_users()) {
-      if (participating[u]) missing.push_back(u);
-    }
-    if (missing.empty() || wave >= hardened.max_retries) break;
-    report.retry_waves = wave + 1;
-
-    // Nack exactly what is missing; resends of already-accepted halves
-    // dedupe harmlessly at the auctioneer.
-    for (const std::size_t u : missing) {
-      Envelope nack;
-      nack.type = MessageType::kRetransmitRequest;
-      RetransmitRequest request;
-      request.mask = static_cast<std::uint8_t>(
-          (session.has_location(u) ? 0 : RetransmitRequest::kLocation) |
-          (session.has_bid(u) ? 0 : RetransmitRequest::kBid));
-      nack.payload = request.serialize();
-      if (m != nullptr) m->counter("wire.nacks").inc();
-      bus.send(auctioneer, Address::su(u), nack.serialize());
-    }
-    // Exponential backoff: waiting also flushes delay-faulted messages.
-    bus.advance(hardened.backoff_ticks(wave));
-
-    // SU endpoints answer nacks with their cached envelope bytes.  A
-    // damaged nack still triggers a full resend — over-answering is safe,
-    // under-answering would stall the round.
-    for (std::size_t u = 0; u < n; ++u) {
-      if (!participating[u]) continue;
-      while (auto message = bus.receive(Address::su(u))) {
-        std::uint8_t mask = RetransmitRequest::kLocation | RetransmitRequest::kBid;
-        try {
-          const Envelope e = Envelope::deserialize(*message);
-          if (e.type != MessageType::kRetransmitRequest) continue;
-          mask = RetransmitRequest::deserialize(e.payload).mask;
-        } catch (const LppaError&) {
-        }
-        if (mask & RetransmitRequest::kLocation) {
-          bus.send(Address::su(u), auctioneer, endpoints[u].location);
-        }
-        if (mask & RetransmitRequest::kBid) {
-          bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-        }
-      }
-    }
-    bus.advance(hardened.backoff_ticks(wave));
-  }
-  admission_span.end();
-
-  {
-    obs::Span allocation_span(m, "wire.allocation", &round_span);
-    session.finalize_participants(report);
-    session.run_allocation(rng);
-  }
-
-  // --- Charging: resend the full query set until every award is priced ---
-  // The TTP itself is trusted but the link to it is not: queries and
-  // results can be dropped or corrupted, so the batches are re-sent
-  // wholesale (the TTP is stateless per batch and results are idempotent)
-  // until charging_complete() or the attempt budget runs out.
-  TtpService service(ttp);
-  obs::Span charging_span(m, "wire.charging", &round_span);
-  const std::vector<Bytes> query_envelopes = session.charge_query_envelopes();
-  while (!session.charging_complete()) {
-    LPPA_PROTOCOL_CHECK(
-        report.charge_attempts < hardened.max_charge_attempts,
-        "TTP unreachable: charging incomplete after retry budget");
-    ++report.charge_attempts;
-    for (const auto& query_envelope : query_envelopes) {
-      bus.send(auctioneer, ttp_addr, query_envelope);
-    }
-    bus.advance(hardened.backoff_base_ticks);
-    while (auto message = bus.receive(ttp_addr)) {
-      try {
-        bus.send(ttp_addr, auctioneer, service.handle(*message));
-      } catch (const LppaError&) {
-        ++report.rejected_messages;  // damaged query; the resend covers it
-      }
-    }
-    bus.advance(hardened.backoff_base_ticks);
-    while (auto message = bus.receive(auctioneer)) {
-      try {
-        session.ingest_charge_results(*message);
-      } catch (const LppaError&) {
-        ++report.rejected_messages;  // damaged result batch
-      }
-    }
-  }
-  charging_span.end();
-
-  // --- Publication --------------------------------------------------------
-  const Bytes announcement = session.winner_announcement();
-  const Envelope e = Envelope::deserialize(announcement);
-  result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-  report.completed = true;
-  if (const FaultInjector* injector = bus.fault_injector()) {
-    report.faults = injector->counters();
-  }
-  if (m != nullptr) {
-    m->counter("wire.completed_rounds").inc();
-    m->counter("wire.retry_waves").inc(report.retry_waves);
-    m->counter("wire.charge_attempts").inc(report.charge_attempts);
-    m->counter("wire.rejected_messages").inc(report.rejected_messages);
-    m->counter("wire.duplicate_redeliveries")
-        .inc(report.duplicate_redeliveries);
-  }
-  return result;
-}
-
-namespace {
-
-/// Rebuilds a crashed auctioneer's state from the journal.  Post-
-/// allocation crashes restore the snapshot in the last kAllocated commit
-/// and re-apply later charge batches; earlier crashes replay the record
-/// stream through the same ingest path the bytes originally took.
-/// Returns the wave the retry schedule should resume at.  The journal is
-/// NOT attached to the session yet — replay must not re-journal what is
-/// already durable.
-std::size_t replay_journal(const RoundJournal& journal,
-                           AuctioneerSession& session, std::size_t num_users,
-                           RoundReport& report) {
+std::size_t replay_session_journal(const RoundJournal& journal,
+                                   AuctioneerSession& session,
+                                   std::size_t num_users, RoundReport& report) {
   const std::vector<JournalRecord> records = RoundJournal::read(journal.data());
   if (records.empty()) return 0;
   LPPA_PROTOCOL_CHECK(records.front().type == JournalRecordType::kRoundStart &&
@@ -346,12 +96,172 @@ std::size_t replay_journal(const RoundJournal& journal,
   return resume_wave;
 }
 
-}  // namespace
+std::vector<bool> participation_mask(std::size_t num_users,
+                                     const std::vector<std::size_t>& exclude) {
+  std::vector<bool> participating(num_users, true);
+  for (const std::size_t u : exclude) {
+    LPPA_REQUIRE(u < num_users, "excluded SU index out of range");
+    participating[u] = false;
+  }
+  return participating;
+}
 
-std::size_t replay_session_journal(const RoundJournal& journal,
-                                   AuctioneerSession& session,
-                                   std::size_t num_users, RoundReport& report) {
-  return replay_journal(journal, session, num_users, report);
+std::vector<SuEnvelopes> build_su_envelopes(
+    const core::LppaConfig& config, const core::SuKeyBundle& keys,
+    const std::vector<auction::SuLocation>& locations,
+    const std::vector<auction::BidVector>& bids, std::uint64_t seed,
+    const std::vector<bool>& participating) {
+  LPPA_REQUIRE(locations.size() == bids.size(),
+               "one location per bid vector required");
+  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
+  LPPA_REQUIRE(participating.size() == bids.size(),
+               "participating mask must cover every SU");
+  const std::size_t n = bids.size();
+  Rng boot(seed);
+  Rng su_master = boot.fork();
+  std::vector<Rng> su_rngs;
+  su_rngs.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) su_rngs.push_back(su_master.fork());
+
+  std::vector<SuEnvelopes> built(n);
+  parallel_for(n, 0, [&](std::size_t u) {
+    if (!participating[u]) return;
+    const SuClient client(u, config, keys);
+    built[u].su = u;
+    built[u].location = client.location_envelope(locations[u], su_rngs[u]);
+    built[u].bid = client.bid_envelope(bids[u], su_rngs[u]);
+  });
+  std::vector<SuEnvelopes> sus;
+  for (std::size_t u = 0; u < n; ++u) {
+    if (participating[u]) sus.push_back(std::move(built[u]));
+  }
+  return sus;
+}
+
+RoundCore::RoundCore(const core::LppaConfig& config, std::size_t num_users,
+                     const RecoverableSessionConfig& policy,
+                     std::vector<bool> participating, std::uint64_t seed,
+                     RoundJournal* journal, RoundReport* report,
+                     CrashInjector* crashes, const obs::Span* round_span)
+    : metrics_(config.metrics),
+      attempt_span_(metrics_, "wire.attempt", round_span),
+      policy_(policy), participating_(std::move(participating)), seed_(seed),
+      journal_(journal), report_(report), crashes_(crashes),
+      session_(config, num_users) {
+  LPPA_REQUIRE(journal_ != nullptr && report_ != nullptr,
+               "a round needs a journal and a report");
+  LPPA_REQUIRE(participating_.size() == num_users,
+               "participating mask must cover every SU");
+  LPPA_REQUIRE(policy_.min_quorum >= 1, "a round needs a quorum of at least 1");
+  report_->num_users = num_users;
+  report_->deadline_ticks = policy_.deadline_ticks;
+  resume_wave_ = replay_session_journal(*journal_, session_, num_users,
+                                        *report_);
+  session_.attach_journal(journal_);
+  if (journal_->empty()) journal_->append_round_start(num_users);
+  phase_span_.emplace(metrics_, "wire.admission", &attempt_span_);
+}
+
+void RoundCore::checkpoint(CrashPoint point) {
+  if (crashes_ != nullptr) crashes_->checkpoint(point);
+}
+
+AuctioneerSession::IngestResult RoundCore::ingest(const Bytes& message) {
+  const auto outcome = session_.try_ingest(message);
+  switch (outcome) {
+    case AuctioneerSession::IngestResult::kAccepted:
+      checkpoint(CrashPoint::kAfterIngest);
+      break;
+    case AuctioneerSession::IngestResult::kDuplicateRedelivery:
+      ++report_->duplicate_redeliveries;
+      break;
+    case AuctioneerSession::IngestResult::kRejected:
+    case AuctioneerSession::IngestResult::kEquivocation:
+      ++report_->rejected_messages;
+      break;
+  }
+  return outcome;
+}
+
+std::vector<std::size_t> RoundCore::missing() const {
+  std::vector<std::size_t> missing;
+  for (const std::size_t u : session_.missing_users()) {
+    if (participating_[u]) missing.push_back(u);
+  }
+  return missing;
+}
+
+RoundCore::Admission RoundCore::admission_step(std::size_t wave,
+                                               std::size_t ticks) {
+  if (missing().empty()) return Admission::kComplete;
+  if (policy_.deadline_ticks > 0 && ticks >= policy_.deadline_ticks) {
+    // Deadline gone (typically eaten by recoveries): commit with the
+    // quorum of journaled submissions instead of waiting out the waves.
+    report_->degraded = true;
+    return Admission::kDegraded;
+  }
+  if (wave >= policy_.hardened.max_retries) return Admission::kExhausted;
+  report_->retry_waves = std::max(report_->retry_waves, wave + 1);
+  return Admission::kNack;
+}
+
+Bytes RoundCore::nack(std::size_t u, std::size_t wave) {
+  // Nack exactly what is missing; resends of already-accepted halves
+  // dedupe harmlessly at the auctioneer.
+  RetransmitRequest request;
+  request.mask = static_cast<std::uint8_t>(
+      (session_.has_location(u) ? 0 : RetransmitRequest::kLocation) |
+      (session_.has_bid(u) ? 0 : RetransmitRequest::kBid));
+  journal_->append_nack(u, request.mask, wave);
+  Envelope nack;
+  nack.type = MessageType::kRetransmitRequest;
+  nack.payload = request.serialize();
+  return nack.serialize();
+}
+
+void RoundCore::commit() {
+  phase_span_.reset();  // admission is over
+  if (!session_.allocation_done()) {
+    obs::Span allocation_span(metrics_, "wire.allocation", &attempt_span_);
+    session_.finalize_participants(*report_);
+    LPPA_PROTOCOL_CHECK(
+        session_.participants().size() >= policy_.min_quorum,
+        "round below quorum: " + std::to_string(policy_.min_quorum) +
+            " participants required");
+    checkpoint(CrashPoint::kAfterFinalize);
+
+    // Every attempt rebuilds the generator from the seed and discards the
+    // SU-side fork, so the allocation stream is identical no matter how
+    // many attempts died.
+    Rng master(seed_);
+    (void)master.fork();
+    session_.run_allocation(master);
+    checkpoint(CrashPoint::kAfterAllocation);
+  }
+  phase_span_.emplace(metrics_, "wire.charging", &attempt_span_);
+}
+
+void RoundCore::charge_attempt() {
+  LPPA_PROTOCOL_CHECK(
+      report_->charge_attempts < policy_.hardened.max_charge_attempts,
+      "TTP unreachable: charging incomplete after retry budget");
+  ++report_->charge_attempts;
+}
+
+void RoundCore::charge(const Bytes& results) {
+  session_.ingest_charge_results(results);
+  checkpoint(CrashPoint::kAfterChargeCommit);
+}
+
+Bytes RoundCore::publish() {
+  phase_span_.reset();  // charging is over
+  checkpoint(CrashPoint::kBeforePublish);
+  journal_->append(JournalRecordType::kCommitted);
+  Bytes announcement = session_.winner_announcement();
+  report_->completed = true;
+  report_->journal_records = journal_->num_records();
+  report_->journal_bytes = journal_->data().size();
+  return announcement;
 }
 
 RecoverableWireResult run_recoverable_wire_auction(
@@ -360,26 +270,14 @@ RecoverableWireResult run_recoverable_wire_auction(
     const std::vector<auction::BidVector>& bids, MessageBus& bus,
     std::uint64_t seed, const RecoverableSessionConfig& recov,
     CrashInjector* crashes, const std::vector<std::size_t>& exclude) {
-  LPPA_REQUIRE(locations.size() == bids.size(),
-               "one location per bid vector required");
-  LPPA_REQUIRE(!bids.empty(), "auction requires at least one bidder");
-  LPPA_REQUIRE(recov.min_quorum >= 1, "a round needs a quorum of at least 1");
-
   const std::size_t n = bids.size();
+  const std::vector<bool> participating = participation_mask(n, exclude);
   const HardenedSessionConfig& hardened = recov.hardened;
   const Address auctioneer = Address::auctioneer();
   const Address ttp_addr = Address::ttp();
 
-  std::vector<bool> participating(n, true);
-  for (const std::size_t u : exclude) {
-    LPPA_REQUIRE(u < n, "excluded SU index out of range");
-    participating[u] = false;
-  }
-
   RecoverableWireResult result;
   RoundReport& report = result.report;
-  report.num_users = n;
-  report.deadline_ticks = recov.deadline_ticks;
 
   obs::MetricsRegistry* const m = config.metrics;
   obs::Span round_span(m, "wire.round");
@@ -389,26 +287,12 @@ RecoverableWireResult run_recoverable_wire_auction(
   // The SU endpoints survive auctioneer crashes; their envelopes are
   // built and sent once, before any attempt, and only ever leave the
   // endpoint again as nack-answering retransmissions of the SAME bytes.
-  // Same RNG discipline as the hardened session, so a crash-free run is
-  // byte-equivalent to run_hardened_wire_auction over Rng(seed).
-  const core::SuKeyBundle keys = ttp.su_keys();
-  struct SuEndpoint {
-    Bytes location;
-    Bytes bid;
-  };
-  std::vector<SuEndpoint> endpoints(n);
-  {
-    Rng boot(seed);
-    Rng su_master = boot.fork();
-    for (std::size_t u = 0; u < n; ++u) {
-      Rng su_rng = su_master.fork();
-      if (!participating[u]) continue;
-      const SuClient client(u, config, keys);
-      endpoints[u].location = client.location_envelope(locations[u], su_rng);
-      endpoints[u].bid = client.bid_envelope(bids[u], su_rng);
-      bus.send(Address::su(u), auctioneer, endpoints[u].location);
-      bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-    }
+  // Sends go out in SU-index order: fault verdicts depend on send order.
+  const std::vector<SuEnvelopes> sus = build_su_envelopes(
+      config, ttp.su_keys(), locations, bids, seed, participating);
+  for (const SuEnvelopes& su : sus) {
+    bus.send(Address::su(su.su), auctioneer, su.location);
+    bus.send(Address::su(su.su), auctioneer, su.bid);
   }
 
   // --- Durable state: what a crash cannot erase --------------------------
@@ -419,125 +303,70 @@ RecoverableWireResult run_recoverable_wire_auction(
     bus.advance(t);
     ticks += t;
   };
-  const auto deadline_expired = [&] {
-    return recov.deadline_ticks > 0 && ticks >= recov.deadline_ticks;
-  };
 
   for (;;) {
     try {
-      obs::Span attempt_span(m, "wire.attempt", &round_span);
-      // Each attempt reconstructs the full generator from the seed (the
-      // SU-side fork is spent above and discarded here) so the
-      // allocation stream is identical no matter how many attempts died.
-      Rng master(seed);
-      (void)master.fork();
-
-      AuctioneerSession session(config, n);
-      const std::size_t resume_wave =
-          replay_journal(journal, session, n, report);
-      session.attach_journal(&journal);
-      if (journal.empty()) journal.append_round_start(n);
-
+      RoundCore core(config, n, recov, participating, seed, &journal,
+                     &report, crashes, &round_span);
+      AuctioneerSession& session = core.session();
       const auto drain_auctioneer = [&] {
-        while (auto message = bus.receive(auctioneer)) {
-          switch (session.try_ingest(*message)) {
-            case AuctioneerSession::IngestResult::kAccepted:
-              if (crashes != nullptr) {
-                crashes->checkpoint(CrashPoint::kAfterIngest);
-              }
-              break;
-            case AuctioneerSession::IngestResult::kDuplicateRedelivery:
-              ++report.duplicate_redeliveries;
-              break;
-            case AuctioneerSession::IngestResult::kRejected:
-            case AuctioneerSession::IngestResult::kEquivocation:
-              ++report.rejected_messages;
-              break;
-          }
-        }
+        while (auto message = bus.receive(auctioneer)) core.ingest(*message);
       };
 
-      if (!session.allocation_done()) {
-        if (!session.admission_closed()) {
-          for (std::size_t wave = resume_wave;; ++wave) {
-            drain_auctioneer();
-            std::vector<std::size_t> missing;
-            for (const std::size_t u : session.missing_users()) {
-              if (participating[u]) missing.push_back(u);
-            }
-            if (missing.empty()) break;
-            if (deadline_expired()) {
-              // Deadline gone (typically eaten by recoveries): commit
-              // with the quorum of journaled submissions instead of
-              // waiting out the remaining waves.
-              report.degraded = true;
-              break;
-            }
-            if (wave >= hardened.max_retries) break;
-            report.retry_waves = std::max(report.retry_waves, wave + 1);
+      if (!session.admission_closed()) {
+        for (std::size_t wave = core.resume_wave();; ++wave) {
+          drain_auctioneer();
+          if (core.admission_step(wave, ticks) !=
+              RoundCore::Admission::kNack) {
+            break;
+          }
+          for (const std::size_t u : core.missing()) {
+            if (m != nullptr) m->counter("wire.nacks").inc();
+            bus.send(auctioneer, Address::su(u), core.nack(u, wave));
+          }
+          // Exponential backoff: waiting also flushes delay-faulted
+          // messages.
+          advance(hardened.backoff_ticks(wave));
 
-            for (const std::size_t u : missing) {
-              Envelope nack;
-              nack.type = MessageType::kRetransmitRequest;
-              RetransmitRequest request;
-              request.mask = static_cast<std::uint8_t>(
-                  (session.has_location(u) ? 0 : RetransmitRequest::kLocation) |
-                  (session.has_bid(u) ? 0 : RetransmitRequest::kBid));
-              nack.payload = request.serialize();
-              journal.append_nack(u, request.mask, wave);
-              if (m != nullptr) m->counter("wire.nacks").inc();
-              bus.send(auctioneer, Address::su(u), nack.serialize());
-            }
-            advance(hardened.backoff_ticks(wave));
-
-            for (std::size_t u = 0; u < n; ++u) {
-              if (!participating[u]) continue;
-              while (auto message = bus.receive(Address::su(u))) {
-                std::uint8_t mask =
-                    RetransmitRequest::kLocation | RetransmitRequest::kBid;
-                try {
-                  const Envelope e = Envelope::deserialize(*message);
-                  if (e.type != MessageType::kRetransmitRequest) continue;
-                  mask = RetransmitRequest::deserialize(e.payload).mask;
-                } catch (const LppaError&) {
-                }
-                if (mask & RetransmitRequest::kLocation) {
-                  bus.send(Address::su(u), auctioneer, endpoints[u].location);
-                }
-                if (mask & RetransmitRequest::kBid) {
-                  bus.send(Address::su(u), auctioneer, endpoints[u].bid);
-                }
+          // SU endpoints answer nacks with their cached envelope bytes.
+          // A damaged nack still triggers a full resend — over-answering
+          // is safe, under-answering would stall the round.
+          for (const SuEnvelopes& su : sus) {
+            while (auto message = bus.receive(Address::su(su.su))) {
+              std::uint8_t mask =
+                  RetransmitRequest::kLocation | RetransmitRequest::kBid;
+              try {
+                const Envelope e = Envelope::deserialize(*message);
+                if (e.type != MessageType::kRetransmitRequest) continue;
+                mask = RetransmitRequest::deserialize(e.payload).mask;
+              } catch (const LppaError&) {
+              }
+              if (mask & RetransmitRequest::kLocation) {
+                bus.send(Address::su(su.su), auctioneer, su.location);
+              }
+              if (mask & RetransmitRequest::kBid) {
+                bus.send(Address::su(su.su), auctioneer, su.bid);
               }
             }
-            advance(hardened.backoff_ticks(wave));
           }
-        } else {
-          // Admission was already committed before the crash; whatever
-          // is still on the bus can only be a redelivery.
-          drain_auctioneer();
+          advance(hardened.backoff_ticks(wave));
         }
-
-        session.finalize_participants(report);
-        LPPA_PROTOCOL_CHECK(
-            session.participants().size() >= recov.min_quorum,
-            "round below quorum: " + std::to_string(recov.min_quorum) +
-                " participants required");
-        if (crashes != nullptr) crashes->checkpoint(CrashPoint::kAfterFinalize);
-
-        session.run_allocation(master);
-        if (crashes != nullptr) {
-          crashes->checkpoint(CrashPoint::kAfterAllocation);
-        }
+      } else if (!session.allocation_done()) {
+        // Admission was already committed before the crash; whatever is
+        // still on the bus can only be a redelivery.
+        drain_auctioneer();
       }
+      core.commit();
 
-      // --- Charging: identical discipline to the hardened session ------
+      // --- Charging: resend the full query set until every award is priced
+      // The TTP itself is trusted but the link to it is not: queries and
+      // results can be dropped or corrupted, so the batches are re-sent
+      // wholesale (the TTP is stateless per batch and results are
+      // idempotent) until charging_complete() or the budget runs out.
       const std::vector<Bytes> query_envelopes =
           session.charge_query_envelopes();
       while (!session.charging_complete()) {
-        LPPA_PROTOCOL_CHECK(
-            report.charge_attempts < hardened.max_charge_attempts,
-            "TTP unreachable: charging incomplete after retry budget");
-        ++report.charge_attempts;
+        core.charge_attempt();
         for (const auto& query_envelope : query_envelopes) {
           bus.send(auctioneer, ttp_addr, query_envelope);
         }
@@ -546,35 +375,25 @@ RecoverableWireResult run_recoverable_wire_auction(
           try {
             bus.send(ttp_addr, auctioneer, service.handle(*message));
           } catch (const LppaError&) {
-            ++report.rejected_messages;
+            ++report.rejected_messages;  // damaged query; the resend covers it
           }
         }
         advance(hardened.backoff_base_ticks);
         while (auto message = bus.receive(auctioneer)) {
           try {
-            session.ingest_charge_results(*message);
             // CrashSignal is not an LppaError, so a crash here tears
             // through this handler like a real process death.
-            if (crashes != nullptr) {
-              crashes->checkpoint(CrashPoint::kAfterChargeCommit);
-            }
+            core.charge(*message);
           } catch (const LppaError&) {
-            ++report.rejected_messages;
+            ++report.rejected_messages;  // damaged result batch
           }
         }
       }
 
-      if (crashes != nullptr) crashes->checkpoint(CrashPoint::kBeforePublish);
-      journal.append(JournalRecordType::kCommitted);
-
-      const Bytes announcement = session.winner_announcement();
-      const Envelope e = Envelope::deserialize(announcement);
+      result.announcement = core.publish();
+      const Envelope e = Envelope::deserialize(result.announcement);
       result.awards = WinnerAnnouncement::deserialize(e.payload).awards;
-      result.announcement = announcement;
       result.journal = journal.data();
-      report.completed = true;
-      report.journal_records = journal.num_records();
-      report.journal_bytes = journal.data().size();
       report.ticks_used = ticks;
       if (const FaultInjector* injector = bus.fault_injector()) {
         report.faults = injector->counters();

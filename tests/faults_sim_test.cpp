@@ -1,4 +1,4 @@
-// Fault-injection coverage of the hardened auction round: the paper's
+// Fault-injection coverage of the wire auction round: the paper's
 // protocol under a network that drops, duplicates, reorders, corrupts and
 // delays, with Byzantine bidders mixed into the population.  The central
 // assertion is the issue's acceptance criterion: a seeded faulty round
@@ -11,63 +11,16 @@
 #include "proto/fault.h"
 #include "proto/session.h"
 #include "sim/multi_round.h"
+#include "wire_world.h"
 
 namespace lppa::proto {
 namespace {
-
-struct WireWorld {
-  std::vector<auction::SuLocation> locations;
-  std::vector<auction::BidVector> bids;
-  core::LppaConfig config;
-};
-
-WireWorld make_world(std::size_t n, std::size_t k, std::uint64_t seed) {
-  Rng rng(seed);
-  WireWorld w;
-  for (std::size_t i = 0; i < n; ++i) {
-    w.locations.push_back({rng.below(5000), rng.below(5000)});
-    auction::BidVector bv(k);
-    for (auto& b : bv) b = rng.below(16);
-    w.bids.push_back(bv);
-  }
-  w.config.num_channels = k;
-  w.config.lambda = 100;
-  w.config.coord_width = 14;
-  w.config.bid = core::PpbsBidConfig::advanced(
-      15, 3, 4, core::ZeroDisguisePolicy::none(15));
-  w.config.ttp_batch_size = 4;
-  return w;
-}
 
 std::vector<std::size_t> excluded_users(const RoundReport& report) {
   std::vector<std::size_t> users;
   for (const auto& e : report.excluded) users.push_back(e.user);
   std::sort(users.begin(), users.end());
   return users;
-}
-
-TEST(FaultsSession, FaultFreeMatchesLegacyWire) {
-  const WireWorld w = make_world(12, 3, 21);
-
-  core::TrustedThirdParty ttp_a(w.config.bid, 77);
-  MessageBus bus_a;
-  Rng rng_a(5);
-  const auto legacy =
-      run_wire_auction(w.config, ttp_a, w.locations, w.bids, bus_a, rng_a);
-
-  core::TrustedThirdParty ttp_b(w.config.bid, 77);
-  MessageBus bus_b;
-  Rng rng_b(5);
-  const auto hardened = run_hardened_wire_auction(
-      w.config, ttp_b, w.locations, w.bids, bus_b, rng_b);
-
-  EXPECT_EQ(hardened.awards, legacy.awards);
-  EXPECT_TRUE(hardened.report.completed);
-  EXPECT_EQ(hardened.report.survivors.size(), 12u);
-  EXPECT_TRUE(hardened.report.excluded.empty());
-  EXPECT_EQ(hardened.report.retry_waves, 0u);
-  EXPECT_EQ(hardened.report.charge_attempts,
-            hardened.awards.empty() ? 0u : 1u);
 }
 
 TEST(FaultsSession, AcceptanceDropPlusByzantine) {
@@ -88,9 +41,8 @@ TEST(FaultsSession, AcceptanceDropPlusByzantine) {
   core::TrustedThirdParty ttp_faulty(w.config.bid, 77);
   MessageBus bus_faulty;
   bus_faulty.set_fault_injector(&injector);
-  Rng rng_faulty(5);
-  const auto faulty = run_hardened_wire_auction(
-      w.config, ttp_faulty, w.locations, w.bids, bus_faulty, rng_faulty);
+  const auto faulty = run_recoverable_wire_auction(
+      w.config, ttp_faulty, w.locations, w.bids, bus_faulty, 5);
 
   ASSERT_TRUE(faulty.report.completed);
   EXPECT_EQ(excluded_users(faulty.report), byzantine);
@@ -103,10 +55,9 @@ TEST(FaultsSession, AcceptanceDropPlusByzantine) {
   // still consumed, so the survivors mask identically).
   core::TrustedThirdParty ttp_clean(w.config.bid, 77);
   MessageBus bus_clean;
-  Rng rng_clean(5);
-  const auto clean = run_hardened_wire_auction(
-      w.config, ttp_clean, w.locations, w.bids, bus_clean, rng_clean, {},
-      byzantine);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_clean, w.locations, w.bids, bus_clean, 5, {},
+      /*crashes=*/nullptr, byzantine);
 
   ASSERT_TRUE(clean.report.completed);
   EXPECT_EQ(clean.report.survivors, faulty.report.survivors);
@@ -118,9 +69,8 @@ TEST(FaultsSession, DuplicateEverythingIsBenign) {
 
   core::TrustedThirdParty ttp_a(w.config.bid, 9);
   MessageBus bus_a;
-  Rng rng_a(3);
-  const auto clean = run_hardened_wire_auction(w.config, ttp_a, w.locations,
-                                               w.bids, bus_a, rng_a);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_a, w.locations, w.bids, bus_a, 3);
 
   FaultSpec spec;
   spec.duplicate = 1.0;
@@ -128,9 +78,8 @@ TEST(FaultsSession, DuplicateEverythingIsBenign) {
   core::TrustedThirdParty ttp_b(w.config.bid, 9);
   MessageBus bus_b;
   bus_b.set_fault_injector(&injector);
-  Rng rng_b(3);
-  const auto doubled = run_hardened_wire_auction(w.config, ttp_b, w.locations,
-                                                 w.bids, bus_b, rng_b);
+  const auto doubled = run_recoverable_wire_auction(
+      w.config, ttp_b, w.locations, w.bids, bus_b, 3);
 
   EXPECT_TRUE(doubled.report.completed);
   EXPECT_EQ(doubled.report.survivors.size(), 8u);
@@ -143,9 +92,8 @@ TEST(FaultsSession, ReorderAndDelayAreAbsorbed) {
 
   core::TrustedThirdParty ttp_a(w.config.bid, 9);
   MessageBus bus_a;
-  Rng rng_a(3);
-  const auto clean = run_hardened_wire_auction(w.config, ttp_a, w.locations,
-                                               w.bids, bus_a, rng_a);
+  const auto clean = run_recoverable_wire_auction(
+      w.config, ttp_a, w.locations, w.bids, bus_a, 3);
 
   FaultSpec spec;
   spec.reorder = 0.4;
@@ -155,9 +103,8 @@ TEST(FaultsSession, ReorderAndDelayAreAbsorbed) {
   core::TrustedThirdParty ttp_b(w.config.bid, 9);
   MessageBus bus_b;
   bus_b.set_fault_injector(&injector);
-  Rng rng_b(3);
-  const auto shaken = run_hardened_wire_auction(w.config, ttp_b, w.locations,
-                                                w.bids, bus_b, rng_b);
+  const auto shaken = run_recoverable_wire_auction(
+      w.config, ttp_b, w.locations, w.bids, bus_b, 3);
 
   EXPECT_TRUE(shaken.report.completed);
   EXPECT_EQ(shaken.report.survivors.size(), 8u);
@@ -176,9 +123,8 @@ TEST(FaultsSession, DeterministicPerSeed) {
     core::TrustedThirdParty ttp(w.config.bid, 5);
     MessageBus bus;
     bus.set_fault_injector(&injector);
-    Rng rng(13);
-    return run_hardened_wire_auction(w.config, ttp, w.locations, w.bids, bus,
-                                     rng);
+      return run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids,
+                                          bus, 13);
   };
   const auto a = run();
   const auto b = run();

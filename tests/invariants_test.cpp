@@ -10,6 +10,7 @@
 #include "auction/plain_auction.h"
 #include "core/adversary.h"
 #include "core/bcm.h"
+#include "net/session_port.h"
 #include "proto/session.h"
 #include "sim/scenario.h"
 
@@ -102,24 +103,74 @@ TEST_P(EndToEndInvariants, LppaRoundSatisfiesAllGuarantees) {
   }
 }
 
+// One round of `w` through one implementation of the auction; the
+// in-memory engine fills only the awards.
+using RoundOutcome = proto::RecoverableWireResult;
+
+struct Runner {
+  const char* name;
+  RoundOutcome (*run)(const World& w, std::uint64_t ttp_seed,
+                      std::uint64_t seed);
+};
+
+// Every implementation of the round: the in-memory engine, the bus driver
+// and the socket driver.  One test body runs over all of them.
+const Runner kRunners[] = {
+    {"engine",
+     [](const World& w, std::uint64_t ttp_seed, std::uint64_t seed) {
+       core::LppaAuction engine(w.config, ttp_seed);
+       Rng rng(seed);
+       RoundOutcome out;
+       out.awards = engine.run(w.locations, w.bids, rng).outcome.awards;
+       return out;
+     }},
+    {"bus",
+     [](const World& w, std::uint64_t ttp_seed, std::uint64_t seed) {
+       core::TrustedThirdParty ttp(w.config.bid, ttp_seed,
+                                   w.config.charging_rule);
+       proto::MessageBus bus;
+       return proto::run_recoverable_wire_auction(w.config, ttp, w.locations,
+                                                  w.bids, bus, seed);
+     }},
+    {"socket",
+     [](const World& w, std::uint64_t ttp_seed, std::uint64_t seed) {
+       core::TrustedThirdParty ttp(w.config.bid, ttp_seed,
+                                   w.config.charging_rule);
+       return RoundOutcome(net::run_recoverable_socket_auction(
+           w.config, ttp, w.locations, w.bids, seed, net::ServerConfig{}));
+     }},
+};
+
 TEST_P(EndToEndInvariants, WireHarnessAlwaysMatchesInMemory) {
   Rng world_rng(GetParam() ^ 0xabcdef);
   for (int round = 0; round < 3; ++round) {
-    const World w = random_world(world_rng);
+    World w = random_world(world_rng);
     const std::uint64_t ttp_seed = GetParam() * 7 + round;
-
-    core::LppaAuction engine(w.config, ttp_seed);
-    Rng rng_mem(GetParam() + round);
-    const auto in_memory = engine.run(w.locations, w.bids, rng_mem);
-
-    core::TrustedThirdParty ttp(w.config.bid, ttp_seed,
-                                w.config.charging_rule);
-    proto::MessageBus bus;
-    Rng rng_wire(GetParam() + round);
-    const auto wire = proto::run_wire_auction(w.config, ttp, w.locations,
-                                              w.bids, bus, rng_wire);
-    EXPECT_EQ(wire.awards, in_memory.outcome.awards)
-        << "seed " << GetParam() << " round " << round;
+    for (const auto rule :
+         {core::ChargingRule::kFirstPrice, core::ChargingRule::kSecondPrice}) {
+      w.config.charging_rule = rule;
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << GetParam() << " round " << round << " rule "
+                   << static_cast<int>(rule));
+      std::vector<RoundOutcome> outcomes;
+      for (const Runner& runner : kRunners) {
+        SCOPED_TRACE(runner.name);
+        outcomes.push_back(runner.run(w, ttp_seed, GetParam() + round));
+        EXPECT_EQ(outcomes.back().awards, outcomes.front().awards);
+      }
+      const RoundOutcome& bus = outcomes[1];
+      const RoundOutcome& socket = outcomes[2];
+      EXPECT_FALSE(bus.announcement.empty());
+      EXPECT_EQ(socket.announcement, bus.announcement);
+      for (const RoundOutcome* wire : {&bus, &socket}) {
+        EXPECT_TRUE(wire->report.completed);
+        EXPECT_EQ(wire->report.survivors.size(), w.bids.size());
+        EXPECT_TRUE(wire->report.excluded.empty());
+        EXPECT_EQ(wire->report.charge_attempts, bus.awards.empty() ? 0u : 1u);
+      }
+      // The bus clock is logical: a clean round never needs a retry wave.
+      EXPECT_EQ(bus.report.retry_waves, 0u);
+    }
   }
 }
 

@@ -8,39 +8,18 @@
 // (at-least-once redelivery, exactly-once construction).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "net/session_port.h"
 #include "obs/metrics.h"
 #include "proto/fault.h"
 #include "proto/session.h"
+#include "wire_world.h"
 
 namespace lppa::net {
 namespace {
-
-struct WireWorld {
-  std::vector<auction::SuLocation> locations;
-  std::vector<auction::BidVector> bids;
-  core::LppaConfig config;
-};
-
-WireWorld make_world(std::size_t n, std::size_t k, std::uint64_t seed) {
-  Rng rng(seed);
-  WireWorld w;
-  for (std::size_t i = 0; i < n; ++i) {
-    w.locations.push_back({rng.below(5000), rng.below(5000)});
-    auction::BidVector bv(k);
-    for (auto& b : bv) b = rng.below(16);
-    w.bids.push_back(bv);
-  }
-  w.config.num_channels = k;
-  w.config.lambda = 100;
-  w.config.coord_width = 14;
-  w.config.bid = core::PpbsBidConfig::advanced(
-      15, 3, 4, core::ZeroDisguisePolicy::none(15));
-  w.config.ttp_batch_size = 4;
-  return w;
-}
 
 constexpr std::uint64_t kTtpSeed = 77;
 constexpr std::uint64_t kWireSeed = 5;
@@ -82,13 +61,41 @@ TEST(SocketAuction, CleanRunMatchesBusByteIdentically) {
   // Exactly one location+bid build per SU, and nobody had to reconnect.
   EXPECT_EQ(socket.envelopes_built, 2 * w.bids.size());
   EXPECT_EQ(socket.reconnects, 0u);
+}
 
-  // The hardened entry point is the same round without a crash layer.
-  core::TrustedThirdParty ttp(w.config.bid, kTtpSeed);
-  const auto hardened = run_hardened_socket_auction(
-      w.config, ttp, w.locations, w.bids, kWireSeed, ServerConfig{});
-  EXPECT_EQ(hardened.awards, bus.awards);
-  EXPECT_EQ(hardened.announcement, bus.announcement);
+/// (span name, parent span name) edges of a registry's trace.
+std::set<std::pair<std::string, std::string>> span_edges(
+    const obs::MetricsRegistry& registry) {
+  const auto spans = registry.spans();
+  std::map<std::uint64_t, std::string> names;
+  for (const auto& span : spans) names[span.id] = span.name;
+  std::set<std::pair<std::string, std::string>> edges;
+  for (const auto& span : spans) {
+    edges.emplace(span.name, span.parent == 0 ? "" : names.at(span.parent));
+  }
+  return edges;
+}
+
+// Both transports run the round through the same core, so a clean round
+// records the same span tree on the bus and over sockets.
+TEST(SocketSpans, CleanRoundRecordsTheBusSpanTree) {
+  WireWorld w = make_world(6, 2, 27);
+  obs::MetricsRegistry bus_registry, socket_registry;
+  w.config.metrics = &bus_registry;
+  run_bus(w);
+  w.config.metrics = &socket_registry;
+  run_socket(w);
+
+  const auto bus_edges = span_edges(bus_registry);
+  for (const auto& edge : std::set<std::pair<std::string, std::string>>{
+           {"wire.round", ""},
+           {"wire.attempt", "wire.round"},
+           {"wire.admission", "wire.attempt"},
+           {"wire.allocation", "wire.attempt"},
+           {"wire.charging", "wire.attempt"}}) {
+    EXPECT_TRUE(bus_edges.count(edge)) << edge.first << " <- " << edge.second;
+  }
+  EXPECT_EQ(span_edges(socket_registry), bus_edges);
 }
 
 TEST(SocketAuction, UnixDomainEndpointMatchesTcp) {

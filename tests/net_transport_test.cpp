@@ -15,35 +15,12 @@
 #include "net/connection.h"
 #include "net/server.h"
 #include "proto/journal.h"
+#include "wire_world.h"
 
 namespace lppa::net {
 namespace {
 
 using namespace std::chrono_literals;
-
-struct WireWorld {
-  std::vector<auction::SuLocation> locations;
-  std::vector<auction::BidVector> bids;
-  core::LppaConfig config;
-};
-
-WireWorld make_world(std::size_t n, std::size_t k, std::uint64_t seed) {
-  Rng rng(seed);
-  WireWorld w;
-  for (std::size_t i = 0; i < n; ++i) {
-    w.locations.push_back({rng.below(5000), rng.below(5000)});
-    auction::BidVector bv(k);
-    for (auto& b : bv) b = rng.below(16);
-    w.bids.push_back(bv);
-  }
-  w.config.num_channels = k;
-  w.config.lambda = 100;
-  w.config.coord_width = 14;
-  w.config.bid = core::PpbsBidConfig::advanced(
-      15, 3, 4, core::ZeroDisguisePolicy::none(15));
-  w.config.ttp_batch_size = 4;
-  return w;
-}
 
 // Raw-socket helpers for playing the hostile client.
 void wait_writable(int fd, int timeout_ms = 2000) {

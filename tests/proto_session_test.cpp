@@ -2,62 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include "wire_world.h"
+
 namespace lppa::proto {
 namespace {
 
-struct WireWorld {
-  std::vector<auction::SuLocation> locations;
-  std::vector<auction::BidVector> bids;
-  core::LppaConfig config;
-};
-
-WireWorld make_world(std::size_t n, std::size_t k, std::uint64_t seed) {
-  Rng rng(seed);
-  WireWorld w;
-  for (std::size_t i = 0; i < n; ++i) {
-    w.locations.push_back({rng.below(5000), rng.below(5000)});
-    auction::BidVector bv(k);
-    for (auto& b : bv) b = rng.below(16);
-    w.bids.push_back(bv);
-  }
-  w.config.num_channels = k;
-  w.config.lambda = 100;
-  w.config.coord_width = 14;
-  w.config.bid = core::PpbsBidConfig::advanced(
-      15, 3, 4, core::ZeroDisguisePolicy::none(15));
-  w.config.ttp_batch_size = 4;
-  return w;
-}
-
-TEST(WireAuction, MatchesInMemoryEngineExactly) {
-  const WireWorld w = make_world(14, 3, 21);
-
-  core::LppaAuction engine(w.config, 777);
-  Rng rng_mem(5);
-  const auto in_memory = engine.run(w.locations, w.bids, rng_mem);
-
-  core::TrustedThirdParty ttp(w.config.bid, 777);
-  MessageBus bus;
-  Rng rng_wire(5);
-  const auto wire =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng_wire);
-
-  EXPECT_EQ(wire.awards, in_memory.outcome.awards);
+/// SU -> auctioneer traffic on `bus`: everything into the auctioneer
+/// minus the TTP's leg.
+LinkStats submission_traffic(const MessageBus& bus) {
+  LinkStats in = bus.total_into(Address::Kind::kAuctioneer);
+  const LinkStats from_ttp = bus.link(Address::ttp(), Address::auctioneer());
+  in.messages -= from_ttp.messages;
+  in.bytes -= from_ttp.bytes;
+  return in;
 }
 
 TEST(WireAuction, SubmissionTrafficMatchesWireSizes) {
   const WireWorld w = make_world(6, 2, 31);
   core::TrustedThirdParty ttp(w.config.bid, 3);
   MessageBus bus;
-  Rng rng(9);
-  const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus, 9);
   // Two messages per SU (location + bids).
-  EXPECT_EQ(result.submission_traffic.messages, 12u);
-  EXPECT_GT(result.submission_traffic.bytes, 0u);
+  EXPECT_EQ(submission_traffic(bus).messages, 12u);
+  EXPECT_GT(submission_traffic(bus).bytes, 0u);
   // Charging traffic: at least one batch each way.
-  EXPECT_GE(result.charging_traffic.messages, 2u);
-  EXPECT_EQ(result.ttp_batches, ttp.batches_processed());
+  EXPECT_GE(bus.link(Address::auctioneer(), Address::ttp()).messages, 1u);
+  EXPECT_EQ(bus.link(Address::ttp(), Address::auctioneer()).messages,
+            ttp.batches_processed());
 }
 
 TEST(WireAuction, BatchSizeControlsTtpBatches) {
@@ -65,11 +36,10 @@ TEST(WireAuction, BatchSizeControlsTtpBatches) {
   w.config.ttp_batch_size = 3;
   core::TrustedThirdParty ttp(w.config.bid, 5);
   MessageBus bus;
-  Rng rng(11);
   const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+      run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus, 11);
   const std::size_t awards = result.awards.size();
-  EXPECT_EQ(result.ttp_batches, (awards + 2) / 3);
+  EXPECT_EQ(ttp.batches_processed(), (awards + 2) / 3);
 }
 
 TEST(WireAuction, SecondPriceRunsOverTheWire) {
@@ -78,9 +48,8 @@ TEST(WireAuction, SecondPriceRunsOverTheWire) {
   core::TrustedThirdParty ttp(w.config.bid, 7,
                               core::ChargingRule::kSecondPrice);
   MessageBus bus;
-  Rng rng(13);
   const auto result =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+      run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus, 13);
   for (const auto& award : result.awards) {
     if (award.valid) {
       EXPECT_LE(award.charge, w.bids[award.user][award.channel]);
@@ -253,15 +222,12 @@ TEST(WireAuction, ReusedBusAccumulatesRounds) {
   const WireWorld w = make_world(5, 2, 101);
   core::TrustedThirdParty ttp(w.config.bid, 15);
   MessageBus bus;
-  Rng rng(17);
-  const auto first =
-      run_wire_auction(w.config, ttp, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp, w.locations, w.bids, bus, 17);
+  const LinkStats first = submission_traffic(bus);
   core::TrustedThirdParty ttp2(w.config.bid, 16);
-  const auto second =
-      run_wire_auction(w.config, ttp2, w.locations, w.bids, bus, rng);
+  run_recoverable_wire_auction(w.config, ttp2, w.locations, w.bids, bus, 17);
   // Stats accumulate across rounds on a reused bus.
-  EXPECT_EQ(second.submission_traffic.messages,
-            2 * first.submission_traffic.messages);
+  EXPECT_EQ(submission_traffic(bus).messages, 2 * first.messages);
 }
 
 }  // namespace
