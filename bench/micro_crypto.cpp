@@ -1,23 +1,36 @@
-// Microbenchmark for the crypto hot path behind PPBS submission.
+// Microbenchmark for the crypto hot path behind PPBS submission and the
+// auctioneer's masked comparisons.
 //
-// Three questions, one JSON artifact (BENCH_micro_crypto.json):
+// Four questions, one JSON artifact (BENCH_micro_crypto.json):
 //   1. Raw SHA-256 compression throughput (streaming a large buffer) —
 //      the hard ceiling every HMAC number divides into.
 //   2. One-shot HMAC-SHA-256 over u64 messages (4 compressions: ipad,
 //      inner finalise, opad, outer finalise) vs the midstate-cached
-//      HmacKeyCtx path (2 compressions) — the per-digest win behind the
-//      submit-phase speedup.
-//   3. The batched API (hmac_sha256_u64_batch semantics through a held
-//      context), which is what prefix/hashed_set actually calls.
+//      HmacKeyCtx path (2 fixed-block compressions) — the per-digest win
+//      behind the submit-phase speedup.
+//   3. The batched API, which is what prefix/hashed_set actually calls:
+//      one large batch, and back-to-back batches of 8 and 12 values (a
+//      w=7 value family and its range cover, the production shapes).
+//   4. The masked comparison itself: a w=7 value family intersected with
+//      a padded range cover, on pairs that all hit and pairs that all
+//      miss (the bid-table comparator's shape).
+//
+// Every HMAC row is checked against the streaming HmacKeyCtx::mac over
+// the 8-byte encoding, and every intersection row against
+// std::set_intersection, so a run can never publish numbers for a
+// broken fast path.
 //
 // Schema matches perf_scaling's conventions: a JSON array of flat
 // objects, one per (bench, iters) sample, throughput in ops/s (or MB/s
 // for the stream bench, flagged by the unit field).
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iterator>
 
 #include "bench_util.h"
 #include "crypto/hmac.h"
+#include "prefix/hashed_set.h"
 
 namespace {
 
@@ -99,24 +112,42 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> values(hmac_iters);
   for (auto& v : values) v = rng.next();
 
-  std::uint64_t oneshot_acc = 0, midstate_acc = 0, batch_acc = 0;
+  // Reference: the generic streaming HMAC over each value's 8-byte LE
+  // encoding (untimed).  ref_prefix[i] is the XOR of the first i
+  // fingerprints, so a row that hashed only a prefix checks against it.
+  const crypto::HmacKeyCtx ctx(key);
+  std::vector<std::uint64_t> ref_prefix(values.size() + 1, 0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::uint8_t le[8];
+    for (int b = 0; b < 8; ++b) {
+      le[b] = static_cast<std::uint8_t>(values[i] >> (8 * b));
+    }
+    ref_prefix[i + 1] =
+        ref_prefix[i] ^ ctx.mac(std::span<const std::uint8_t>(le)).fingerprint();
+  }
+  bool hmac_ok = true;
+  const auto check_hmac = [&](std::size_t hashed, std::uint64_t acc) {
+    hmac_ok = hmac_ok && acc == ref_prefix[hashed];
+  };
+
   {
+    std::uint64_t acc = 0;
     const double ms = time_ms([&] {
       for (const std::uint64_t v : values) {
-        oneshot_acc ^= crypto::hmac_sha256_u64(key, v).fingerprint();
+        acc ^= crypto::hmac_sha256_u64(key, v).fingerprint();
       }
     });
+    check_hmac(values.size(), acc);
     samples.push_back({"hmac_u64_oneshot", hmac_iters, ms,
                        bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
                        "ops/s"});
   }
   {
-    const crypto::HmacKeyCtx ctx(key);
+    std::uint64_t acc = 0;
     const double ms = time_ms([&] {
-      for (const std::uint64_t v : values) {
-        midstate_acc ^= ctx.mac_u64(v).fingerprint();
-      }
+      for (const std::uint64_t v : values) acc ^= ctx.mac_u64(v).fingerprint();
     });
+    check_hmac(values.size(), acc);
     samples.push_back({"hmac_u64_midstate", hmac_iters, ms,
                        bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
                        "ops/s"});
@@ -128,18 +159,80 @@ int main(int argc, char** argv) {
     const double ms = time_ms([&] {
       crypto::hmac_sha256_u64_batch(key, values, out);
     });
-    for (const auto& d : out) batch_acc ^= d.fingerprint();
+    std::uint64_t acc = 0;
+    for (const auto& d : out) acc ^= d.fingerprint();
+    check_hmac(values.size(), acc);
     samples.push_back({"hmac_u64_batch", hmac_iters, ms,
                        bench::rate_per_sec(static_cast<double>(hmac_iters), ms),
                        "ops/s"});
   }
-
-  // The three paths must be digest-identical — this is the property the
-  // hmac tests pin; re-checked here so a bench run can never publish
-  // numbers for a broken fast path.
-  if (oneshot_acc != midstate_acc || oneshot_acc != batch_acc) {
-    std::cerr << "FATAL: one-shot / midstate / batch HMAC digests disagree\n";
+  for (const std::size_t batch : {std::size_t{8}, std::size_t{12}}) {
+    const std::size_t hashed = values.size() / batch * batch;
+    std::vector<crypto::Digest> out(batch);
+    std::uint64_t acc = 0;
+    const double ms = time_ms([&] {
+      for (std::size_t i = 0; i < hashed; i += batch) {
+        ctx.mac_u64_batch(std::span<const std::uint64_t>(values).subspan(i, batch),
+                          out);
+        for (const auto& d : out) acc ^= d.fingerprint();
+      }
+    });
+    check_hmac(hashed, acc);
+    samples.push_back({"hmac_u64_batch" + std::to_string(batch), hashed, ms,
+                       bench::rate_per_sec(static_cast<double>(hashed), ms),
+                       "ops/s"});
+  }
+  if (!hmac_ok) {
+    std::cerr << "FATAL: an HMAC row disagrees with the streaming reference\n";
     return 1;
+  }
+
+  // --- 4. masked comparison: w=7 family vs padded range cover ------------
+  // Pairs (family of s_a, cover of [s_b, smax] padded to 2w-2): the
+  // bid table's ge(a, b).  Hit pairs have s_a >= s_b, miss pairs not.
+  {
+    const int w = 7;
+    const std::uint64_t smax = (1u << w) - 1;
+    const std::size_t pairs = 1024;
+    const std::size_t passes = args.smoke ? 50 : (args.full ? 1000 : 250);
+    for (const bool hit : {true, false}) {
+      std::vector<prefix::HashedPrefixSet> families, covers;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        std::uint64_t a = rng.below(smax + 1), b = rng.below(smax + 1);
+        if (a == b) b = (b + 1) % (smax + 1);
+        if ((a >= b) != hit) std::swap(a, b);
+        families.push_back(prefix::HashedPrefixSet::of_value(ctx, a, w));
+        covers.push_back(prefix::HashedPrefixSet::of_range(ctx, b, smax, w));
+        covers.back().pad_to(prefix::max_range_prefixes(w), rng);
+      }
+      bool ref_ok = true;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        std::vector<crypto::Digest> common;
+        std::set_intersection(
+            families[p].digests().begin(), families[p].digests().end(),
+            covers[p].digests().begin(), covers[p].digests().end(),
+            std::back_inserter(common));
+        ref_ok = ref_ok && common.empty() != hit;
+      }
+      std::size_t hits = 0;
+      const double ms = time_ms([&] {
+        for (std::size_t pass = 0; pass < passes; ++pass) {
+          for (std::size_t p = 0; p < pairs; ++p) {
+            hits += families[p].intersects(covers[p]);
+          }
+        }
+      });
+      const std::size_t calls = pairs * passes;
+      if (!ref_ok || hits != (hit ? calls : 0)) {
+        std::cerr << "FATAL: masked intersection disagrees with the "
+                     "set_intersection reference\n";
+        return 1;
+      }
+      samples.push_back({hit ? "masked_intersect_hit" : "masked_intersect_miss",
+                         calls, ms,
+                         bench::rate_per_sec(static_cast<double>(calls), ms),
+                         "ops/s"});
+    }
   }
 
   Table table({"bench", "iters", "wall_ms", "throughput", "unit"});
@@ -148,7 +241,7 @@ int main(int argc, char** argv) {
                    Table::cell(s.throughput, 1), s.unit});
   }
   lppa::bench::emit(table, args,
-                    "crypto micro: SHA-256 blocks, HMAC one-shot vs midstate vs batch");
+                    "crypto micro: SHA-256 blocks, HMAC paths, masked intersection");
 
   const double one = samples[1].wall_ms, mid = samples[2].wall_ms;
   if (mid > 0.0) {

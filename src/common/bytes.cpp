@@ -77,11 +77,19 @@ Bytes ByteReader::raw(std::size_t n) {
 bool ct_equal(std::span<const std::uint8_t> a,
               std::span<const std::uint8_t> b) noexcept {
   if (a.size() != b.size()) return false;
-  // volatile keeps the compiler from collapsing the loop into memcmp
-  // (which short-circuits) once it proves `diff` is only read at the end.
-  volatile std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    diff = diff | static_cast<std::uint8_t>(a[i] ^ b[i]);
+  // OR the XOR of 8-byte words (unaligned loads through memcpy), then the
+  // byte tail.  The empty asm makes `diff` opaque after every step, so the
+  // compiler can neither prove an early exit safe nor collapse the loop
+  // into a short-circuiting memcmp.
+  std::uint64_t diff = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= a.size(); i += 8) {
+    diff |= load_le64(a.data() + i) ^ load_le64(b.data() + i);
+    __asm__ volatile("" : "+r"(diff));
+  }
+  for (; i < a.size(); ++i) {
+    diff |= static_cast<std::uint64_t>(a[i] ^ b[i]);
+    __asm__ volatile("" : "+r"(diff));
   }
   return diff == 0;
 }

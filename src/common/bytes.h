@@ -6,8 +6,10 @@
 // round-trip messages through tests.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,6 +79,21 @@ class ByteReader {
 /// protocol).
 bool ct_equal(std::span<const std::uint8_t> a,
               std::span<const std::uint8_t> b) noexcept;
+
+/// 8 bytes at `p` (any alignment) as a little-/big-endian integer: one
+/// load plus at most a byte swap, not a per-byte loop.
+inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  return v;
+}
+inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  return v;
+}
 
 /// Lowercase hex encoding, handy in logs and tests.
 std::string to_hex(std::span<const std::uint8_t> data);

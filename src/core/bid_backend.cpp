@@ -105,9 +105,9 @@ void PaillierBackend::encode_cell(core::ChannelBidSubmission& cell,
 bool PaillierBackend::ge(const core::ChannelBidSubmission& a,
                          const core::ChannelBidSubmission& b) const {
   if (oracle_ == nullptr) {
-    detail::raise(ErrorKind::kState,
-                  "Paillier order test requires the TTP comparison oracle; "
-                  "this backend instance is encode-only");
+    lppa::detail::raise(ErrorKind::kState,
+                        "Paillier order test requires the TTP comparison oracle; "
+                        "this backend instance is encode-only");
   }
   return oracle_->ge(a.paillier_ct, b.paillier_ct);
 }

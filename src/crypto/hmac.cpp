@@ -7,8 +7,41 @@
 namespace lppa::crypto {
 
 namespace {
+
 constexpr std::size_t kBlockSize = 64;
-}
+
+// HMAC over an 8-byte message is exactly two compressions past the cached
+// midstates, each over one fixed-layout padded block:
+//   inner: value (8 bytes LE) | 0x80 | zeros | bit length (64 + 8) * 8 = 576
+//   outer: inner digest (32)  | 0x80 | zeros | bit length (64 + 32) * 8 = 768
+// Building those blocks directly skips the streaming Sha256 copy, its
+// buffering and its finalize() padding arithmetic.
+struct U64Blocks {
+  std::uint8_t inner[kBlockSize] = {};
+  std::uint8_t outer[kBlockSize] = {};
+
+  U64Blocks() noexcept {
+    inner[8] = 0x80;
+    inner[62] = 576 >> 8;
+    inner[63] = 576 & 0xff;
+    outer[32] = 0x80;
+    outer[62] = 768 >> 8;
+    outer[63] = 768 & 0xff;
+  }
+
+  void set_value(std::uint64_t value) noexcept {
+    for (int i = 0; i < 8; ++i) {
+      inner[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  }
+
+  void set_inner_digest(const detail::Sha256State& state) noexcept {
+    const Digest d = detail::to_digest(state);
+    std::memcpy(outer, d.bytes.data(), Digest::kSize);
+  }
+};
+
+}  // namespace
 
 void HmacKeyCtx::init(std::span<const std::uint8_t> padded_key) noexcept {
   std::array<std::uint8_t, kBlockSize> pad;
@@ -53,16 +86,38 @@ Digest HmacKeyCtx::mac(std::span<const std::uint8_t> message) const noexcept {
 }
 
 Digest HmacKeyCtx::mac_u64(std::uint64_t value) const noexcept {
-  std::uint8_t buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
-  return mac(std::span<const std::uint8_t>(buf, 8));
+  U64Blocks b;
+  b.set_value(value);
+  detail::Sha256State inner = inner_mid_.midstate();
+  detail::compress(inner, b.inner);
+  b.set_inner_digest(inner);
+  detail::Sha256State outer = outer_mid_.midstate();
+  detail::compress(outer, b.outer);
+  return detail::to_digest(outer);
 }
 
 void HmacKeyCtx::mac_u64_batch(std::span<const std::uint64_t> values,
                                std::span<Digest> out) const {
   LPPA_REQUIRE(values.size() == out.size(),
                "hmac batch output span must match input size");
-  for (std::size_t i = 0; i < values.size(); ++i) out[i] = mac_u64(values[i]);
+  // Pairs run on the two-lane compressor; an odd tail goes one at a time.
+  std::size_t i = 0;
+  for (; i + 2 <= values.size(); i += 2) {
+    U64Blocks b0, b1;
+    b0.set_value(values[i]);
+    b1.set_value(values[i + 1]);
+    detail::Sha256State in0 = inner_mid_.midstate();
+    detail::Sha256State in1 = inner_mid_.midstate();
+    detail::compress_x2(in0, b0.inner, in1, b1.inner);
+    b0.set_inner_digest(in0);
+    b1.set_inner_digest(in1);
+    detail::Sha256State out0 = outer_mid_.midstate();
+    detail::Sha256State out1 = outer_mid_.midstate();
+    detail::compress_x2(out0, b0.outer, out1, b1.outer);
+    out[i] = detail::to_digest(out0);
+    out[i + 1] = detail::to_digest(out1);
+  }
+  if (i < values.size()) out[i] = mac_u64(values[i]);
 }
 
 HmacSha256::HmacSha256(const SecretKey& key) noexcept

@@ -44,14 +44,15 @@ class HmacKeyCtx {
   Digest mac(std::span<const std::uint8_t> message) const noexcept;
 
   /// HMAC over a single little-endian 64-bit integer — the numericalised
-  /// prefix hot path.
+  /// prefix hot path.  Two compressions over fixed-layout padded blocks,
+  /// straight from the cached midstates.
   Digest mac_u64(std::uint64_t value) const noexcept;
 
   /// Batched form of mac_u64: out[i] = HMAC(key, values[i]).  Requires
   /// out.size() == values.size().  Equivalent digest-for-digest to the
-  /// per-call API (pinned by a property test); exists so callers hashing
-  /// a whole prefix family make one call and the key schedule is paid
-  /// exactly once per key instead of once per digest.
+  /// per-call API (pinned by a property test).  Values are hashed in
+  /// pairs on the two-lane compressor (sha256.h, detail::compress_x2), so
+  /// a prefix family costs about one lane's latency per two digests.
   void mac_u64_batch(std::span<const std::uint64_t> values,
                      std::span<Digest> out) const;
 

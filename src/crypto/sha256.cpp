@@ -3,6 +3,9 @@
 #include <bit>
 #include <cstring>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <cpuid.h>
 #include <immintrin.h>
@@ -12,6 +15,8 @@
 namespace lppa::crypto {
 
 namespace {
+
+using detail::Sha256State;
 
 constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -42,60 +47,75 @@ inline std::uint32_t rotr(std::uint32_t x, int n) noexcept {
 // STATE1 holds {C,D,G,H}, and the schedule keeps four 4-word message
 // blocks rotating through msgs[0..3].  Bit-identical to the scalar path —
 // the RFC/FIPS vector tests exercise whichever path dispatch picks.
-__attribute__((target("sha,sse4.1,ssse3"))) void process_block_shani(
-    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
+//
+// kLanes independent blocks run step-interleaved: sha256rnds2 has a long
+// latency and a short issue interval, so the second lane's rounds fill
+// the first one's stalls.  Both loops unroll fully, which is what lets the
+// compiler keep msgs[][] in registers.
+template <int kLanes>
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    Sha256State* const* states, const std::uint8_t* const* blocks) noexcept {
   const __m128i kBswapMask =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
 
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  __m128i state1 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);        // CDAB
-  state1 = _mm_shuffle_epi32(state1, 0x1B);  // EFGH
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
+  __m128i state0[kLanes], state1[kLanes], abef_save[kLanes],
+      cdgh_save[kLanes], msgs[kLanes][4];
+  for (int l = 0; l < kLanes; ++l) {
+    __m128i tmp =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&(*states[l])[0]));
+    __m128i s1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&(*states[l])[4]));
+    tmp = _mm_shuffle_epi32(tmp, 0xB1);                 // CDAB
+    s1 = _mm_shuffle_epi32(s1, 0x1B);                   // EFGH
+    state0[l] = _mm_alignr_epi8(tmp, s1, 8);            // ABEF
+    state1[l] = _mm_blend_epi16(s1, tmp, 0xF0);         // CDGH
+    abef_save[l] = state0[l];
+    cdgh_save[l] = state1[l];
+  }
 
-  const __m128i abef_save = state0;
-  const __m128i cdgh_save = state1;
-
-  __m128i msgs[4];
+#pragma GCC unroll 16
   for (int g = 0; g < 16; ++g) {
-    __m128i x0;
-    if (g < 4) {
-      x0 = _mm_shuffle_epi8(
-          _mm_loadu_si128(
-              reinterpret_cast<const __m128i*>(block + 16 * g)),
-          kBswapMask);
-      msgs[g] = x0;
-    } else {
-      x0 = msgs[g & 3];
-    }
-    __m128i msg = _mm_add_epi32(
-        x0, _mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    if (g >= 3 && g < 15) {
-      // W[4(g+1)..4(g+1)+3] = msg2(msg1-partial + W[i-7] terms, x0).
-      const __m128i w_im7 = _mm_alignr_epi8(x0, msgs[(g + 3) & 3], 4);
-      msgs[(g + 1) & 3] = _mm_sha256msg2_epu32(
-          _mm_add_epi32(msgs[(g + 1) & 3], w_im7), x0);
-    }
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    if (g >= 1 && g < 13) {
-      msgs[(g + 3) & 3] = _mm_sha256msg1_epu32(msgs[(g + 3) & 3], x0);
+    const __m128i k = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g]));
+#pragma GCC unroll 2
+    for (int l = 0; l < kLanes; ++l) {
+      __m128i* m = msgs[l];
+      __m128i x0;
+      if (g < 4) {
+        x0 = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(blocks[l] + 16 * g)),
+            kBswapMask);
+        m[g] = x0;
+      } else {
+        x0 = m[g & 3];
+      }
+      __m128i msg = _mm_add_epi32(x0, k);
+      state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], msg);
+      if (g >= 3 && g < 15) {
+        // W[4(g+1)..4(g+1)+3] = msg2(msg1-partial + W[i-7] terms, x0).
+        const __m128i w_im7 = _mm_alignr_epi8(x0, m[(g + 3) & 3], 4);
+        m[(g + 1) & 3] =
+            _mm_sha256msg2_epu32(_mm_add_epi32(m[(g + 1) & 3], w_im7), x0);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      state0[l] = _mm_sha256rnds2_epu32(state0[l], state1[l], msg);
+      if (g >= 1 && g < 13) {
+        m[(g + 3) & 3] = _mm_sha256msg1_epu32(m[(g + 3) & 3], x0);
+      }
     }
   }
 
-  state0 = _mm_add_epi32(state0, abef_save);
-  state1 = _mm_add_epi32(state1, cdgh_save);
-
-  tmp = _mm_shuffle_epi32(state0, 0x1B);     // FEBA
-  state1 = _mm_shuffle_epi32(state1, 0xB1);  // DCHG
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);      // DCBA
-  state1 = _mm_alignr_epi8(state1, tmp, 8);         // HGFE
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+  for (int l = 0; l < kLanes; ++l) {
+    const __m128i s0 = _mm_add_epi32(state0[l], abef_save[l]);
+    __m128i s1 = _mm_add_epi32(state1[l], cdgh_save[l]);
+    const __m128i tmp = _mm_shuffle_epi32(s0, 0x1B);    // FEBA
+    s1 = _mm_shuffle_epi32(s1, 0xB1);                   // DCHG
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*states[l])[0]),
+                     _mm_blend_epi16(tmp, s1, 0xF0));   // DCBA
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*states[l])[4]),
+                     _mm_alignr_epi8(s1, tmp, 8));      // HGFE
+  }
 }
 
 bool detect_sha_ni() noexcept {
@@ -113,12 +133,6 @@ const bool kHasShaNi = detect_sha_ni();
 #endif  // LPPA_SHA_NI_DISPATCH
 
 }  // namespace
-
-std::uint64_t Digest::fingerprint() const noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  return v;
-}
 
 Sha256::Sha256() noexcept { reset(); }
 
@@ -142,12 +156,12 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      detail::compress(state_, buffer_.data());
       buffer_len_ = 0;
     }
   }
   while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
+    detail::compress(state_, data.data() + offset);
     offset += 64;
   }
   if (offset < data.size()) {
@@ -156,13 +170,9 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
   }
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-#ifdef LPPA_SHA_NI_DISPATCH
-  if (kHasShaNi) {
-    process_block_shani(state_, block);
-    return;
-  }
-#endif
+namespace detail {
+
+void compress_portable(Sha256State& state, const std::uint8_t* block) noexcept {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
@@ -176,8 +186,8 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -196,9 +206,62 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     a = temp1 + temp2;
   }
 
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+  state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+  state[4] += e; state[5] += f; state[6] += g; state[7] += h;
 }
+
+void compress(Sha256State& state, const std::uint8_t* block) noexcept {
+#ifdef LPPA_SHA_NI_DISPATCH
+  if (kHasShaNi) {
+    Sha256State* const states[1] = {&state};
+    compress_shani<1>(states, &block);
+    return;
+  }
+#endif
+  compress_portable(state, block);
+}
+
+void compress_x2(Sha256State& state0, const std::uint8_t* block0,
+                 Sha256State& state1, const std::uint8_t* block1) noexcept {
+#ifdef LPPA_SHA_NI_DISPATCH
+  if (kHasShaNi) {
+    Sha256State* const states[2] = {&state0, &state1};
+    const std::uint8_t* const blocks[2] = {block0, block1};
+    compress_shani<2>(states, blocks);
+    return;
+  }
+#endif
+  compress_portable(state0, block0);
+  compress_portable(state1, block1);
+}
+
+Digest to_digest(const Sha256State& state) noexcept {
+  // Whole-vector stores: per-byte or per-word stores here would make each
+  // wide reload of the digest (the HMAC outer block, fingerprint()) miss
+  // store forwarding and stall.
+  Digest out;
+#ifdef __SSE2__
+  for (int half = 0; half < 2; ++half) {
+    __m128i v = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(state.data() + 4 * half));
+    // bswap32 per lane: swap the bytes of each 16-bit half, then the halves.
+    v = _mm_or_si128(_mm_slli_epi16(v, 8), _mm_srli_epi16(v, 8));
+    v = _mm_shufflehi_epi16(_mm_shufflelo_epi16(v, 0xB1), 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.bytes.data() + 16 * half),
+                     v);
+  }
+#else
+  for (int i = 0; i < 8; ++i) {
+    out.bytes[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
+    out.bytes[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
+    out.bytes[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
+    out.bytes[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+  }
+#endif
+  return out;
+}
+
+}  // namespace detail
 
 Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_len = total_len_ * 8;
@@ -213,15 +276,7 @@ Digest Sha256::finalize() noexcept {
   }
   // Note: update() bumps total_len_, but we already captured bit_len.
   update(std::span<const std::uint8_t>(len_bytes, 8));
-
-  Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out.bytes[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out.bytes[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out.bytes[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out.bytes[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
-  return out;
+  return detail::to_digest(state_);
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {

@@ -20,15 +20,22 @@ void DigestIndex::reserve(std::size_t expected) {
 }
 
 std::size_t DigestIndex::find_slot(const crypto::Digest& d) const noexcept {
-  // Probe confirmation goes through ct_equal for the same reason as
-  // HashedPrefixSet::intersects: a short-circuiting key comparison would
-  // leak the matched byte count of an HMAC'd digest through timing.
+  // Each probe compares the 8-byte fingerprints (one fixed-time word
+  // compare) and confirms a fingerprint match with ct_equal over all 32
+  // bytes, for the same reason as HashedPrefixSet::intersects: a
+  // short-circuiting key comparison would leak the matched byte count of
+  // an HMAC'd digest through timing.
   // kDeadChain slots are still *occupied* for probing purposes: freeing
   // them in place would sever the probe chains of digests inserted after
   // them, so they persist until rehash_to drops them.
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(d.fingerprint()) & mask;
-  while (slots_[i].head != kNil && !ct_equal(slots_[i].key.bytes, d.bytes)) {
+  const std::uint64_t fp = d.fingerprint();
+  std::size_t i = static_cast<std::size_t>(fp) & mask;
+  while (slots_[i].head != kNil) {
+    if (slots_[i].key.fingerprint() == fp &&
+        ct_equal(slots_[i].key.bytes, d.bytes)) {
+      break;
+    }
     i = (i + 1) & mask;
   }
   return i;

@@ -17,6 +17,21 @@ std::vector<crypto::Digest> hash_prefixes(const crypto::HmacKeyCtx& ctx,
   return out;
 }
 
+// Lexicographic a < b over bytes 8..31, for digests whose first 8 bytes
+// are equal.  Every word is read and compared, and the first differing
+// word is selected without a branch, so the time does not depend on
+// where the digests first differ.
+bool tail_less(const crypto::Digest& a, const crypto::Digest& b) noexcept {
+  unsigned less = 0, decided = 0;
+  for (std::size_t off = 8; off < crypto::Digest::kSize; off += 8) {
+    const std::uint64_t x = load_be64(a.bytes.data() + off);
+    const std::uint64_t y = load_be64(b.bytes.data() + off);
+    less |= static_cast<unsigned>(x < y) & ~decided;
+    decided |= static_cast<unsigned>(x != y);
+  }
+  return less != 0;
+}
+
 }  // namespace
 
 HashedPrefixSet HashedPrefixSet::of_value(const crypto::SecretKey& key,
@@ -54,20 +69,29 @@ HashedPrefixSet HashedPrefixSet::from_digests(
 }
 
 bool HashedPrefixSet::intersects(const HashedPrefixSet& other) const noexcept {
-  // Linear merge over the two sorted vectors.  The membership check uses
-  // ct_equal: a short-circuiting digest == would leak, through timing,
-  // how many leading bytes of an HMAC'd prefix digest the probe matched.
-  // The < used to advance the merge only orders digests, it never
-  // confirms membership, so it stays an ordinary comparison.
-  auto a = digests_.begin();
-  auto b = other.digests_.begin();
-  while (a != digests_.end() && b != other.digests_.end()) {
-    if (ct_equal(a->bytes, b->bytes)) return true;
-    if (*a < *b) {
-      ++a;
-    } else {
-      ++b;
+  // Linear merge over the two sorted vectors, stepped on each digest's
+  // first 8 bytes read big-endian (Digest::order_key): one fixed-time word
+  // compare per step, and distinct digests almost never tie on it.  Only
+  // a key tie goes on to ct_equal over all 32 bytes, so a match is always
+  // confirmed in fixed time; a short-circuiting digest == would leak,
+  // through timing, how many leading bytes of an HMAC'd prefix digest the
+  // probe matched.  A tie that is not a match advances by tail_less,
+  // which is fixed-time too.
+  const crypto::Digest* a = digests_.data();
+  const crypto::Digest* b = other.digests_.data();
+  const std::size_t na = digests_.size();
+  const std::size_t nb = other.digests_.size();
+  std::size_t i = 0, j = 0;
+  while (i < na && j < nb) {
+    const std::uint64_t ka = a[i].order_key();
+    const std::uint64_t kb = b[j].order_key();
+    bool a_first = ka < kb;
+    if (ka == kb) {
+      if (ct_equal(a[i].bytes, b[j].bytes)) return true;
+      a_first = tail_less(a[i], b[j]);
     }
+    i += a_first;
+    j += !a_first;
   }
   return false;
 }

@@ -53,6 +53,40 @@ TEST(DigestIndexTest, MissingDigestCollectsNothing) {
   EXPECT_EQ(owners, std::vector<std::uint32_t>{5u});
 }
 
+TEST(DigestIndexTest, DigestsSharingTheFingerprintStayDistinct) {
+  // Digests that agree on their first 8 bytes share Digest::fingerprint:
+  // they start probing at the same slot and all pass the fingerprint
+  // filter, so only the ct_equal confirmation tells them apart.
+  Rng rng(23);
+  crypto::Digest base;
+  for (auto& byte : base.bytes) byte = static_cast<std::uint8_t>(rng.below(256));
+  std::vector<crypto::Digest> tied{base};
+  for (std::size_t pos = 8; pos < crypto::Digest::kSize; ++pos) {
+    crypto::Digest d = base;
+    d.bytes[pos] ^= 0x01;
+    tied.push_back(d);
+  }
+  prefix::DigestIndex index;
+  for (std::uint32_t i = 0; i < tied.size(); ++i) index.insert(tied[i], i);
+  EXPECT_EQ(index.distinct_digests(), tied.size());
+  for (std::uint32_t i = 0; i < tied.size(); ++i) {
+    std::vector<std::uint32_t> owners;
+    EXPECT_EQ(index.collect(tied[i], owners), 1u) << i;
+    EXPECT_EQ(owners, std::vector<std::uint32_t>{i});
+  }
+  crypto::Digest absent = base;
+  absent.bytes[31] ^= 0x02;
+  std::vector<std::uint32_t> owners;
+  EXPECT_EQ(index.collect(absent, owners), 0u);
+
+  // Erasing one tied digest leaves its neighbours on the probe chain.
+  EXPECT_FALSE(index.erase(tied[4], 3));
+  EXPECT_TRUE(index.erase(tied[3], 3));
+  EXPECT_EQ(index.collect(tied[3], owners), 0u);
+  EXPECT_EQ(index.collect(tied[4], owners), 1u);
+  EXPECT_EQ(owners, std::vector<std::uint32_t>{4u});
+}
+
 TEST(DigestIndexTest, SurvivesRehashing) {
   Rng rng(11);
   prefix::DigestIndex index;  // no reserve: forces several growth steps

@@ -223,6 +223,34 @@ TEST(HmacBatch, EquivalentToPerCallForRandomKeysAndValues) {
   }
 }
 
+// mac_u64_batch hashes pairs on the two-lane kernel and an odd tail on
+// the one-lane kernel; both must agree with per-call mac_u64 and with the
+// streaming HMAC over the 8-byte little-endian encoding, for every batch
+// length up to the largest production batch and past it.
+TEST(HmacBatch, PairsAndOddTailsMatchPerCallAndStreaming) {
+  lppa::Rng rng(14);
+  const SecretKey key = SecretKey::generate(rng);
+  const HmacKeyCtx ctx(key);
+  for (std::size_t count = 0; count <= 17; ++count) {
+    std::vector<std::uint64_t> values(count);
+    for (auto& v : values) v = rng.next();
+    if (count > 0) values[0] = 0;
+    if (count > 1) values[count - 1] = ~0ull;
+    std::vector<Digest> batch(count);
+    ctx.mac_u64_batch(values, batch);
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint8_t le[8];
+      for (int b = 0; b < 8; ++b) {
+        le[b] = static_cast<std::uint8_t>(values[i] >> (8 * b));
+      }
+      EXPECT_EQ(batch[i], ctx.mac_u64(values[i]))
+          << "count " << count << " index " << i;
+      EXPECT_EQ(batch[i], hmac_sha256(key, std::span<const std::uint8_t>(le)))
+          << "count " << count << " index " << i;
+    }
+  }
+}
+
 TEST(HmacBatch, EmptyBatchIsANoop) {
   lppa::Rng rng(12);
   const SecretKey key = SecretKey::generate(rng);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 
 #include "common/rng.h"
@@ -112,11 +114,119 @@ TEST(Digest, FingerprintUsesLeadingBytes) {
   EXPECT_EQ(d.fingerprint(), 0x0807060504030201ULL);
 }
 
+TEST(Digest, OrderKeyIsBigEndianAndAgreesWithDigestOrder) {
+  Digest d;
+  for (int i = 0; i < 8; ++i) d.bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i + 1);
+  EXPECT_EQ(d.order_key(), 0x0102030405060708ULL);
+  lppa::Rng rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Digest a, b;
+    for (auto& byte : a.bytes) byte = static_cast<std::uint8_t>(rng.below(4));
+    for (auto& byte : b.bytes) byte = static_cast<std::uint8_t>(rng.below(4));
+    if (a.order_key() < b.order_key()) {
+      EXPECT_LT(a, b);
+    } else if (a.order_key() > b.order_key()) {
+      EXPECT_GT(a, b);
+    } else {
+      EXPECT_TRUE(std::equal(a.bytes.begin(), a.bytes.begin() + 8,
+                             b.bytes.begin()));
+    }
+  }
+}
+
 TEST(Digest, StdHashIsUsable) {
   const Digest a = Sha256::hash("x");
   const Digest b = Sha256::hash("y");
   const std::hash<Digest> hasher;
   EXPECT_NE(hasher(a), hasher(b));
+}
+
+// The compression seam under Sha256 and the fixed-block HMAC path.  The
+// streaming tests above run whichever kernel CPUID picked, so on a host
+// with the SHA extensions these are the only tests of the portable one.
+using Block = std::array<std::uint8_t, 64>;
+
+detail::Sha256State random_state(lppa::Rng& rng) {
+  detail::Sha256State s;
+  for (auto& w : s) w = static_cast<std::uint32_t>(rng.next());
+  return s;
+}
+
+Block random_block(lppa::Rng& rng) {
+  Block b;
+  for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.below(256));
+  return b;
+}
+
+TEST(Sha256Compress, PortableMatchesFipsVectors) {
+  // "abc" in one padded block: the digest is the IV compressed once.
+  Block abc{};
+  abc[0] = 'a';
+  abc[1] = 'b';
+  abc[2] = 'c';
+  abc[3] = 0x80;
+  abc[63] = 24;  // bit length
+  detail::Sha256State s = Sha256().midstate();
+  detail::compress_portable(s, abc.data());
+  EXPECT_EQ(detail::to_digest(s).hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+
+  // The 56-byte two-block vector: message + 0x80 fill one block, the
+  // second holds only the bit length 448.
+  const std::string msg =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  Block first{}, second{};
+  std::copy(msg.begin(), msg.end(), first.begin());
+  first[msg.size()] = 0x80;
+  second[62] = 448 >> 8;
+  second[63] = 448 & 0xff;
+  s = Sha256().midstate();
+  detail::compress_portable(s, first.data());
+  detail::compress_portable(s, second.data());
+  EXPECT_EQ(detail::to_digest(s).hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+TEST(Sha256Compress, DispatchedKernelMatchesPortable) {
+  if (!Sha256::accelerated()) {
+    GTEST_SKIP() << "no SHA extensions: compress() is the portable kernel";
+  }
+  lppa::Rng rng(31);
+  for (int trial = 0; trial < 500; ++trial) {
+    const detail::Sha256State start = random_state(rng);
+    const Block block = random_block(rng);
+    detail::Sha256State hw = start, sw = start;
+    detail::compress(hw, block.data());
+    detail::compress_portable(sw, block.data());
+    ASSERT_EQ(hw, sw) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Compress, TwoLanesMatchTwoSingleLanesAndPortable) {
+  lppa::Rng rng(32);
+  for (int trial = 0; trial < 500; ++trial) {
+    const detail::Sha256State start0 = random_state(rng);
+    // Every fourth trial runs both lanes on the same input.
+    const bool same = trial % 4 == 0;
+    const detail::Sha256State start1 = same ? start0 : random_state(rng);
+    const Block block0 = random_block(rng);
+    const Block block1 = same ? block0 : random_block(rng);
+
+    detail::Sha256State lane0 = start0, lane1 = start1;
+    detail::compress_x2(lane0, block0.data(), lane1, block1.data());
+
+    detail::Sha256State one0 = start0, one1 = start1;
+    detail::compress(one0, block0.data());
+    detail::compress(one1, block1.data());
+    ASSERT_EQ(lane0, one0) << "trial " << trial;
+    ASSERT_EQ(lane1, one1) << "trial " << trial;
+
+    detail::Sha256State sw0 = start0, sw1 = start1;
+    detail::compress_portable(sw0, block0.data());
+    detail::compress_portable(sw1, block1.data());
+    ASSERT_EQ(lane0, sw0) << "trial " << trial;
+    ASSERT_EQ(lane1, sw1) << "trial " << trial;
+  }
 }
 
 // Avalanche-style property sweep: flipping any single input byte changes
