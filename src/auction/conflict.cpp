@@ -66,25 +66,6 @@ void ConflictGraph::add_conflict(std::size_t i, std::size_t j) {
   adjacency_[j].insert(i);
 }
 
-void ConflictGraph::remove_su(std::size_t i) {
-  LPPA_REQUIRE(i < num_users_, "user index out of range");
-  adjacency_[i].for_each([&](std::size_t j) { adjacency_[j].erase(i); });
-  adjacency_[i] = CellSet(num_users_);
-}
-
-void ConflictGraph::add_su(std::size_t i,
-                           const std::vector<std::size_t>& neighbors) {
-  LPPA_REQUIRE(i < num_users_, "user index out of range");
-  LPPA_REQUIRE(adjacency_[i].empty(), "add_su requires an isolated slot");
-  for (std::size_t j : neighbors) add_conflict(i, j);
-}
-
-void ConflictGraph::move_su(std::size_t i,
-                            const std::vector<std::size_t>& neighbors) {
-  remove_su(i);
-  add_su(i, neighbors);
-}
-
 bool ConflictGraph::conflicts(std::size_t i, std::size_t j) const {
   LPPA_REQUIRE(i < num_users_ && j < num_users_, "user index out of range");
   if (i == j) return false;

@@ -50,19 +50,6 @@ class ConflictGraph {
   void add_conflict(std::size_t i, std::size_t j);
   bool conflicts(std::size_t i, std::size_t j) const;
 
-  /// Churn delta updates.  The graph keeps a fixed user universe (slot
-  /// roster); arrivals and departures toggle a slot's edges in place.
-
-  /// Detaches slot i from every neighbour: i becomes isolated.
-  void remove_su(std::size_t i);
-
-  /// Attaches slot i (which must currently be isolated) to every slot in
-  /// `neighbors` — the caller supplies the probed conflict set.
-  void add_su(std::size_t i, const std::vector<std::size_t>& neighbors);
-
-  /// remove_su followed by add_su: slot i moved to a new location.
-  void move_su(std::size_t i, const std::vector<std::size_t>& neighbors);
-
   /// N(i): neighbours of user i as a bitset over users.
   const CellSet& neighbors(std::size_t i) const;
 

@@ -137,45 +137,6 @@ void EncryptedBidTable::remove_user(UserId u) {
   }
 }
 
-void EncryptedBidTable::insert_user(UserId u) {
-  LPPA_REQUIRE(u < users_, "bid table index out of range");
-  for (std::size_t r = 0; r < channels_; ++r) {
-    LPPA_REQUIRE(!present_[u * channels_ + r],
-                 "insert_user requires a fully tombstoned slot");
-  }
-  for (std::size_t r = 0; r < channels_; ++r) {
-    present_[u * channels_ + r] = true;
-  }
-  live_ += channels_;
-  if (strategy_ != ArgmaxStrategy::kSortedColumns) return;
-  const auto uid = static_cast<std::uint32_t>(u);
-  for (std::size_t r = 0; r < channels_; ++r) {
-    auto& ord = order_[r];
-    std::size_t& h = head_[r];
-    // Drop u's stale position first — the submission bytes behind the
-    // slot were replaced, so the old rank means nothing.  Erasing a
-    // (tombstoned) entry before the cursor shifts the cursor with it.
-    const auto stale = std::find(ord.begin(), ord.end(), uid);
-    LPPA_REQUIRE(stale != ord.end(), "column order lost a user id");
-    if (static_cast<std::size_t>(stale - ord.begin()) < h) --h;
-    ord.erase(stale);
-    // Canonical position: descending masked bid, ties in increasing id —
-    // exactly where the stable merge sort of a full rebuild places u.
-    const auto& su = sub(u).channels[r];
-    std::size_t p = 0;
-    while (p < ord.size()) {
-      const auto& sv = sub(ord[p]).channels[r];
-      if (!backend_->ge(sv, su)) break;  // u strictly greater than ord[p]
-      if (backend_->ge(su, sv) && uid < ord[p]) break;  // masked tie
-      ++p;
-    }
-    ord.insert(ord.begin() + static_cast<std::ptrdiff_t>(p), uid);
-    // Resurrection: a live entry may now sit before the cursor; pull the
-    // cursor back so the tombstone-skip memoisation stays sound.
-    if (p < h) h = p;
-  }
-}
-
 std::optional<auction::UserId> EncryptedBidTable::argmax_in_column(
     ChannelId r) const {
   if (strategy_ == ArgmaxStrategy::kSortedColumns) return argmax_sorted(r);
@@ -189,9 +150,8 @@ std::optional<auction::UserId> EncryptedBidTable::argmax_sorted(
   LPPA_REQUIRE(r < channels_, "bid table index out of range");
   const auto& ord = order_[r];
   std::size_t& h = head_[r];
-  // Skip tombstones.  The only resurrection path (insert_user) pulls the
-  // cursor back over the revived entry, so the skip is sound memoisation;
-  // total cursor movement over a round is O(n) per column.
+  // Skip tombstones.  A removed cell never comes back, so the cursor
+  // only moves forward: total movement over a round is O(n) per column.
   while (h < ord.size() && !present_[ord[h] * channels_ + r]) ++h;
   if (h == ord.size()) return std::nullopt;
   return static_cast<UserId>(ord[h]);

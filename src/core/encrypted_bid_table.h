@@ -45,8 +45,8 @@ class MaskedBidTable : public auction::BidTableView {
   virtual const ChannelBidSubmission& entry(UserId u, ChannelId r) const = 0;
 
   /// Column r's highest masked bid among users u != winner with
-  /// eligible[u] (false for dead churn slots), lowest id among equals.
-  /// Consumed cells still count as rivals.
+  /// eligible[u] (false for users the caller excludes from pricing),
+  /// lowest id among equals.  Consumed cells still count as rivals.
   virtual std::optional<UserId> runner_up(
       ChannelId r, UserId winner, const std::vector<bool>& eligible) const = 0;
 
@@ -91,16 +91,6 @@ class EncryptedBidTable final : public MaskedBidTable {
   bool has(UserId u, ChannelId r) const override;
   void remove(UserId u, ChannelId r) override;
   void remove_user(UserId u) override;
-
-  /// Churn maintenance: re-activates a fully tombstoned slot AFTER the
-  /// caller replaced the backing submission behind it (the table holds a
-  /// reference, so the new masked bytes are already visible through
-  /// sub(u)).  All of u's cells become present again and, under
-  /// kSortedColumns, u is re-positioned in every column order exactly
-  /// where a from-scratch stable sort of the current submissions would
-  /// put it — so an incrementally maintained table stays bit-equal to a
-  /// rebuilt one.  Cost O(n) per column vs O(n log n) for a rebuild.
-  void insert_user(UserId u);
 
   /// Column maximum under the masked order; ties break to the lowest
   /// user id on both strategies (the sort is stable, the scan keeps the
@@ -203,15 +193,13 @@ class EncryptedBidTable final : public MaskedBidTable {
 
   ArgmaxStrategy strategy_ = ArgmaxStrategy::kSortedColumns;
   /// order_[r]: user ids of column r, descending by masked bid (stable on
-  /// ties, so equal bids keep increasing-id order).  Removal is a
-  /// tombstone in present_; only insert_user reorders, by splicing the
-  /// re-activated user back to its canonical position.
+  /// ties, so equal bids keep increasing-id order).  Built once and never
+  /// reordered: removal is a tombstone in present_.
   std::vector<std::vector<std::uint32_t>> order_;
   /// head_[r]: cursor into order_[r].  Everything before it is known
-  /// tombstoned, so advancing it from const argmax queries is pure
-  /// memoisation (it never skips a present entry).  The one resurrection
-  /// path, insert_user, re-establishes the invariant by pulling the
-  /// cursor back over the revived entry.
+  /// tombstoned, and a tombstone is never cleared, so the cursor only
+  /// moves forward and advancing it from const argmax queries is pure
+  /// memoisation (it never skips a present entry).
   mutable std::vector<std::size_t> head_;
 };
 

@@ -93,7 +93,7 @@ struct LppaOutcome {
 };
 
 /// Result of one allocation+charging pass over an already-built round
-/// state (the maintained-churn entry point below).
+/// state (allocate_and_charge below).
 struct MaintainedRoundOutcome {
   std::vector<auction::Award> awards;  ///< TTP-validated awards
   std::size_t manipulations_detected = 0;
@@ -114,15 +114,14 @@ class LppaAuction {
                   const std::vector<BidVector>& bids, Rng& rng);
 
   /// The auctioneer+TTP tail of a round over pre-built state: greedy
-  /// allocation on `table` (which it consumes — pass a clone of a
-  /// maintained table) followed by batched TTP charging.  `table` must
-  /// be built over `bids`; `live` marks which roster slots currently
-  /// participate — dead slots hold stale masked submissions and must
-  /// never be consulted as runner-up candidates (they cannot win: the
-  /// table has them tombstoned).
-  /// run() is exactly this helper applied to a freshly built all-live
-  /// round, so maintained churn rounds and from-scratch rounds share one
-  /// charging/validation path byte for byte.
+  /// allocation on `table` (which it consumes) followed by batched TTP
+  /// charging.  `table` must be built over `bids`; `live` marks the users
+  /// that may be priced as second-price runner-ups — a caller that has
+  /// tombstoned a user's row must clear its bit too, since the runner-up
+  /// query counts consumed cells as rivals.
+  /// run() is exactly this helper applied to a freshly built round with
+  /// every user live, so callers that build their own round state share
+  /// one charging/validation path with it byte for byte.
   MaintainedRoundOutcome allocate_and_charge(
       const std::vector<BidSubmission>& bids,
       const auction::ConflictGraph& conflicts, MaskedBidTable& table,

@@ -130,19 +130,6 @@ void ShardedBidTable::remove_user(UserId u) {
   }
 }
 
-void ShardedBidTable::insert_user(UserId u) {
-  LPPA_REQUIRE(u < users_, "bid table index out of range");
-  for (std::size_t r = 0; r < channels_; ++r) {
-    LPPA_REQUIRE(!present_[u * channels_ + r],
-                 "insert_user requires a fully tombstoned slot");
-    present_[u * channels_ + r] = true;
-  }
-  live_ += channels_;
-  // u was a member of its shard at construction, so the shard table
-  // exists and holds u's (tombstoned) local slot.
-  shards_[shard_of_[u]]->insert_user(local_index_[u]);
-}
-
 ShardedBidTable ShardedBidTable::clone() const {
   ShardedBidTable copy;
   copy.submissions_ = submissions_;

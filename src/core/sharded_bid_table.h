@@ -90,17 +90,9 @@ class ShardedBidTable final : public MaskedBidTable {
   void remove(UserId u, ChannelId r) override;
   void remove_user(UserId u) override;
 
-  /// Churn maintenance: re-activates a fully tombstoned global slot after
-  /// the caller replaced its backing submission (see
-  /// EncryptedBidTable::insert_user).  The global mirror and the owning
-  /// shard's subset table update together; the slot→shard assignment is
-  /// fixed at construction, so the re-activated SU re-enters the same
-  /// shard it left.
-  void insert_user(UserId u);
-
   /// Deep copy (the per-shard tables live behind unique_ptr, so the
-  /// implicit copy is deleted).  Allocation consumes a table; churn
-  /// rounds clone the pristine maintained table and allocate on the copy.
+  /// implicit copy is deleted).  Allocation consumes a table, so a caller
+  /// that needs the pristine table afterwards allocates on a clone.
   ShardedBidTable clone() const;
 
   /// Global column maximum: per-shard argmax + masked merge; ties break

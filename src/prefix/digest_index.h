@@ -41,29 +41,17 @@ class DigestIndex {
   /// Inserts every digest of `set` for `owner`.
   void insert_all(const HashedPrefixSet& set, std::uint32_t owner);
 
-  /// Removes ONE (d, owner) pair previously recorded by insert — the
-  /// churn-maintenance inverse of insert, symmetric call-for-call so
-  /// erase_all(set, u) exactly undoes insert_all(set, u) even when `set`
-  /// contains duplicate digests.  The freed entry is recycled by later
-  /// insertions.  Returns false when no such pair is present.
-  bool erase(const crypto::Digest& d, std::uint32_t owner);
-
-  /// Erases every digest of `set` for `owner`; returns how many pairs
-  /// were actually removed.
-  std::size_t erase_all(const HashedPrefixSet& set, std::uint32_t owner);
-
   /// Appends to `out` every owner recorded for digest `d` (possibly with
   /// duplicates if an owner inserted the digest twice).  Returns the
   /// number of owners appended.
   std::size_t collect(const crypto::Digest& d,
                       std::vector<std::uint32_t>& out) const;
 
-  /// Number of distinct digests in the table.  Digests whose last owner
-  /// was erased still count until the next rehash compacts them away.
+  /// Number of distinct digests in the table.
   std::size_t distinct_digests() const noexcept { return used_; }
 
-  /// Live (digest, owner) pairs: insertions minus erasures.
-  std::size_t entry_count() const noexcept { return live_entries_; }
+  /// Recorded (digest, owner) pairs, one per insert call.
+  std::size_t entry_count() const noexcept { return entries_.size(); }
 
   /// Current slot-array capacity (always a power of two once non-empty).
   /// reserve(expected) guarantees that up to `expected` subsequent
@@ -78,10 +66,6 @@ class DigestIndex {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// A slot whose whole owner chain was erased.  It stays occupied (so
-  /// linear-probe chains that stepped over it remain intact) until a
-  /// rehash compacts it away or an insert of the same digest revives it.
-  static constexpr std::uint32_t kDeadChain = 0xfffffffeu;
 
   struct Slot {
     crypto::Digest key{};
@@ -93,15 +77,11 @@ class DigestIndex {
   };
 
   void grow(std::size_t min_capacity);
-  void rehash_to(std::size_t capacity);
   std::size_t find_slot(const crypto::Digest& d) const noexcept;
 
   std::vector<Slot> slots_;     // capacity is always a power of two
   std::vector<Entry> entries_;  // chained owner lists
-  std::size_t used_ = 0;        // occupied slots (incl. dead chains)
-  std::size_t dead_slots_ = 0;  // occupied slots with an empty chain
-  std::size_t live_entries_ = 0;   // entries not on the free list
-  std::uint32_t free_head_ = kNil;  // recycled entries_ indices
+  std::size_t used_ = 0;        // occupied slots
 };
 
 }  // namespace lppa::prefix

@@ -210,8 +210,8 @@ RecoverableWireResult run_recoverable_wire_auction(
 /// later charge batches.  Returns the retry wave to resume at.  The
 /// journal must be attached to the session only AFTER replaying (replay
 /// must not re-journal what is already durable).  RoundCore recovers
-/// with it; it is exposed so churn harnesses can crash and rebuild
-/// sessions mid-churn.
+/// with it; it is exposed so a session crashed mid-churn outside a round
+/// driver can be rebuilt too (proto_session_test pins that leg).
 std::size_t replay_session_journal(const RoundJournal& journal,
                                    AuctioneerSession& session,
                                    std::size_t num_users, RoundReport& report);

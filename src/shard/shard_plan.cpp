@@ -96,15 +96,6 @@ std::vector<std::uint32_t> ShardPlan::halo_tiles_of(
 
 ShardAssignment ShardPlan::assign(
     const std::vector<auction::SuLocation>& locations) const {
-  return assign_live(locations,
-                     std::vector<bool>(locations.size(), true));
-}
-
-ShardAssignment ShardPlan::assign_live(
-    const std::vector<auction::SuLocation>& locations,
-    const std::vector<bool>& live) const {
-  LPPA_REQUIRE(live.size() == locations.size(),
-               "live mask must cover every slot");
   const std::size_t n = locations.size();
   const std::size_t shards = num_shards();
 
@@ -115,7 +106,6 @@ ShardAssignment ShardPlan::assign_live(
   a.halo.resize(shards);
 
   for (std::size_t u = 0; u < n; ++u) {
-    if (!live[u]) continue;  // dead slot: shard_of = 0, in no list
     const auction::SuLocation& loc = locations[u];
     LPPA_REQUIRE(loc.x < side_ && loc.y < side_,
                  "location outside the coordinate space");
@@ -132,45 +122,6 @@ ShardAssignment ShardPlan::assign_live(
   // per-tile list is already sorted — which the sharded conflict build
   // and the sharded bid table both rely on for deterministic tie-breaks.
   return a;
-}
-
-void ShardPlan::reassign(ShardAssignment& a, std::uint32_t u,
-                         const std::optional<auction::SuLocation>& old_loc,
-                         const std::optional<auction::SuLocation>& new_loc) const {
-  LPPA_REQUIRE(u < a.shard_of.size(), "reassign: SU id outside the roster");
-  LPPA_REQUIRE(a.num_shards == num_shards(),
-               "reassign: assignment built by a different plan");
-  // Sorted splice in/out keeps every list in the ascending order the
-  // single-sweep assign() produces, so == against a rebuild stays exact.
-  const auto sorted_erase = [u](std::vector<std::uint32_t>& v) {
-    const auto it = std::lower_bound(v.begin(), v.end(), u);
-    LPPA_REQUIRE(it != v.end() && *it == u,
-                 "reassign: SU missing from a shard list");
-    v.erase(it);
-  };
-  const auto sorted_insert = [u](std::vector<std::uint32_t>& v) {
-    const auto it = std::lower_bound(v.begin(), v.end(), u);
-    LPPA_REQUIRE(it == v.end() || *it != u,
-                 "reassign: SU already present in a shard list");
-    v.insert(it, u);
-  };
-  if (old_loc.has_value()) {
-    sorted_erase(a.members[tile_of(*old_loc)]);
-    const auto tiles = halo_tiles_of(*old_loc);
-    for (const std::uint32_t t : tiles) sorted_erase(a.halo[t]);
-    if (!tiles.empty()) --a.boundary_sus;
-    a.shard_of[u] = 0;  // dead-slot convention, matching assign_live
-  }
-  if (new_loc.has_value()) {
-    LPPA_REQUIRE(new_loc->x < side_ && new_loc->y < side_,
-                 "location outside the coordinate space");
-    const std::uint32_t home = tile_of(*new_loc);
-    a.shard_of[u] = home;
-    sorted_insert(a.members[home]);
-    const auto tiles = halo_tiles_of(*new_loc);
-    for (const std::uint32_t t : tiles) sorted_insert(a.halo[t]);
-    if (!tiles.empty()) ++a.boundary_sus;
-  }
 }
 
 }  // namespace lppa::shard

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "auction/conflict.h"
@@ -92,8 +91,6 @@ class ShardPlan {
 
   /// Foreign tiles touched by `loc`'s clamped interference box — the
   /// halos `loc` belongs to.  Empty iff the SU is not a boundary SU.
-  /// The churn layer uses this to know which per-tile digest indexes
-  /// hold (or must receive) an SU's x-range entries.
   std::vector<std::uint32_t> halo_tiles_of(
       const auction::SuLocation& loc) const;
 
@@ -102,24 +99,6 @@ class ShardPlan {
   /// and the plan, independent of any thread count.
   ShardAssignment assign(
       const std::vector<auction::SuLocation>& locations) const;
-
-  /// assign() restricted to the slots `live` marks true — the churn
-  /// roster keeps a fixed slot universe where dead slots have no
-  /// location.  Dead slots get shard_of = 0 and appear in no member or
-  /// halo list, so an incrementally maintained assignment (reassign) is
-  /// comparable by == to a from-scratch rebuild over the same roster.
-  ShardAssignment assign_live(const std::vector<auction::SuLocation>& locations,
-                              const std::vector<bool>& live) const;
-
-  /// Incremental churn update of one SU's membership: `old_loc` →
-  /// `new_loc`, where nullopt means absent (so arrival = nullopt→loc,
-  /// departure = loc→nullopt, move = loc→loc).  Maintains the ascending
-  /// order of every member/halo list and the exact boundary_sus count;
-  /// after any event sequence the assignment equals assign_live over the
-  /// resulting roster.  O(tiles touched · log n) per event.
-  void reassign(ShardAssignment& a, std::uint32_t u,
-                const std::optional<auction::SuLocation>& old_loc,
-                const std::optional<auction::SuLocation>& new_loc) const;
 
  private:
   ShardPlan() = default;

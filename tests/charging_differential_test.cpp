@@ -5,8 +5,9 @@
 // the order the table already sorted.  The reference is the O(n) masked
 // scan charging used to run per award, kept here as the oracle:
 //   1. runner_up equals the oracle on every award, across both backends,
-//      shards {1,4}, both argmax strategies, tie-heavy populations, dead
-//      churn slots, and tables restored mid-allocation;
+//      shards {1,4}, both argmax strategies, tie-heavy populations,
+//      tombstoned users excluded from pricing, and tables restored
+//      mid-allocation;
 //   2. the wire session asks the TTP the same questions over the bus and
 //      over sockets (byte-identical charge-query envelopes);
 //   3. charging costs no ge() call on an unsharded sorted table and at
@@ -180,8 +181,9 @@ TEST_P(ChargingRunnerUp, TieHeavyPopulationsMatchTheScan) {
 TEST_P(ChargingRunnerUp, DeadChurnSlotsNeverPriceAWinner) {
   Rng rng(202);
   const auto subs = mask(ttp, draw_bids(28, 3, 6, rng), rng);
-  // Dead roster slots: tombstoned in the table (they cannot win) and
-  // ineligible as rivals, like ChurnState's departed SUs.
+  // Dead slots: tombstoned in the table (they cannot win) and cleared
+  // in the eligibility mask, so they must never price a winner either —
+  // the runner-up query otherwise counts consumed cells as rivals.
   std::vector<bool> live(subs.size(), true);
   auto table = make_table(subs, 3, strategy(), shards(), backend);
   for (std::size_t u = 0; u < subs.size(); ++u) {

@@ -78,13 +78,6 @@ TEST(DigestIndexTest, DigestsSharingTheFingerprintStayDistinct) {
   absent.bytes[31] ^= 0x02;
   std::vector<std::uint32_t> owners;
   EXPECT_EQ(index.collect(absent, owners), 0u);
-
-  // Erasing one tied digest leaves its neighbours on the probe chain.
-  EXPECT_FALSE(index.erase(tied[4], 3));
-  EXPECT_TRUE(index.erase(tied[3], 3));
-  EXPECT_EQ(index.collect(tied[3], owners), 0u);
-  EXPECT_EQ(index.collect(tied[4], owners), 1u);
-  EXPECT_EQ(owners, std::vector<std::uint32_t>{4u});
 }
 
 TEST(DigestIndexTest, SurvivesRehashing) {
@@ -137,8 +130,8 @@ TEST(DigestIndexTest, ReservePreSizesSoInsertionsNeverRehash) {
 }
 
 TEST(DigestIndexTest, ReserveZeroIsSafeAndUsable) {
-  // The churn layer sizes per-tile indexes from live digest counts,
-  // which hit zero whenever a tile empties out — reserve(0) must neither
+  // The shard build sizes per-tile indexes from member+halo digest
+  // counts, which are zero for an empty tile — reserve(0) must neither
   // divide by zero nor leave the table unusable.
   prefix::DigestIndex index;
   index.reserve(0);
@@ -153,7 +146,6 @@ TEST(DigestIndexTest, ReserveZeroIsSafeAndUsable) {
   d.bytes[7] = 0x42;
   std::vector<std::uint32_t> owners;
   EXPECT_EQ(index.collect(d, owners), 0u);
-  EXPECT_FALSE(index.erase(d, 3));
   index.insert(d, 3);
   ASSERT_EQ(index.collect(d, owners), 1u);
   EXPECT_EQ(owners, std::vector<std::uint32_t>{3u});
@@ -180,38 +172,6 @@ TEST(DigestIndexTest, AllDuplicateDigestsNeverRehash) {
   EXPECT_GT(index.memory_bytes(), kOwners * sizeof(std::uint32_t));
   std::vector<std::uint32_t> owners;
   EXPECT_EQ(index.collect(d, owners), static_cast<std::size_t>(kOwners));
-
-  // Erasure walks the chain by owner and recycles entries; the slot
-  // itself stays occupied (dead chain) so probing remains intact.
-  for (std::uint32_t owner = 0; owner < kOwners; ++owner) {
-    EXPECT_TRUE(index.erase(d, owner));
-  }
-  EXPECT_EQ(index.entry_count(), 0u);
-  owners.clear();
-  EXPECT_EQ(index.collect(d, owners), 0u);
-  index.insert(d, 7);  // revives the dead chain in place
-  ASSERT_EQ(index.collect(d, owners), 1u);
-  EXPECT_EQ(owners, std::vector<std::uint32_t>{7u});
-  EXPECT_EQ(index.distinct_digests(), 1u);
-}
-
-TEST(DigestIndexTest, EraseIsMultisetSymmetricWithInsert) {
-  // An owner can legitimately hold the same digest twice (family and
-  // range covers share short prefixes); erase must remove exactly one
-  // pair per call, mirroring insert call-for-call.
-  prefix::DigestIndex index;
-  crypto::Digest d;
-  d.bytes[3] = 0x99;
-  index.insert(d, 5);
-  index.insert(d, 5);
-  EXPECT_EQ(index.entry_count(), 2u);
-  EXPECT_TRUE(index.erase(d, 5));
-  std::vector<std::uint32_t> owners;
-  ASSERT_EQ(index.collect(d, owners), 1u);
-  EXPECT_EQ(owners, std::vector<std::uint32_t>{5u});
-  EXPECT_TRUE(index.erase(d, 5));
-  EXPECT_FALSE(index.erase(d, 5));
-  EXPECT_EQ(index.entry_count(), 0u);
 }
 
 TEST(ConflictIndexTest, IndexedMatchesPairwiseOver200RandomScenarios) {

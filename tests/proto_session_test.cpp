@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "proto/fault.h"
+#include "proto/journal.h"
 #include "wire_world.h"
 
 namespace lppa::proto {
@@ -207,6 +211,93 @@ TEST(AuctioneerSession, ChurnRecordsReplayAndSnapshotRoundTrip) {
   // round can close without user 1.
   EXPECT_TRUE(session.ready());
   EXPECT_EQ(session.missing_users(), std::vector<std::size_t>{});
+}
+
+TEST(AuctioneerSession, ChurnCrashAtEveryMidChurnPointReplaysAndResumes) {
+  // One SU departs, returns and departs again (su1), interleaved with
+  // su4 and su2, with a kMidChurn checkpoint after every op.  Killing the
+  // session at each checkpoint and replaying its journal into a fresh
+  // session must reproduce the crash-free twin's snapshot at that op,
+  // and resuming the remaining ops must reach the twin's final snapshot.
+  constexpr std::size_t n = 8;
+  const WireWorld w = make_world(n, 4, 161);
+  core::TrustedThirdParty ttp(w.config.bid, 123);
+  std::vector<Bytes> envelopes;
+  Rng env_master(777);
+  for (std::size_t u = 0; u < n; ++u) {
+    Rng su_rng = env_master.fork();
+    const SuClient client(u, w.config, ttp.su_keys());
+    envelopes.push_back(client.location_envelope(w.locations[u], su_rng));
+    envelopes.push_back(client.bid_envelope(w.bids[u], su_rng));
+  }
+  struct Op {
+    bool depart;
+    std::size_t user;
+  };
+  const std::vector<Op> ops = {{true, 1},  {true, 4},  {false, 1},
+                               {true, 2},  {false, 4}, {true, 1}};
+
+  const auto start = [&](AuctioneerSession& session, RoundJournal& journal) {
+    journal.append_round_start(n);
+    session.attach_journal(&journal);
+    for (const Bytes& e : envelopes) {
+      ASSERT_EQ(session.try_ingest(e),
+                AuctioneerSession::IngestResult::kAccepted);
+    }
+  };
+  // Applies ops[first..] with a checkpoint after each; records the
+  // post-op snapshot into `snapshots` when non-null.
+  const auto drive = [&](AuctioneerSession& session, std::size_t first,
+                         CrashInjector& crashes,
+                         std::vector<Bytes>* snapshots) {
+    for (std::size_t k = first; k < ops.size(); ++k) {
+      if (ops[k].depart) {
+        session.churn_depart(ops[k].user);
+      } else {
+        session.churn_return(ops[k].user);
+      }
+      if (snapshots != nullptr) snapshots->push_back(session.snapshot());
+      crashes.checkpoint(CrashPoint::kMidChurn);
+    }
+  };
+
+  std::vector<Bytes> expected;
+  {
+    AuctioneerSession twin(w.config, n);
+    RoundJournal journal;
+    start(twin, journal);
+    CrashInjector never;  // counts checkpoints, never fires
+    drive(twin, 0, never, &expected);
+    ASSERT_EQ(never.hits(CrashPoint::kMidChurn), ops.size());
+  }
+  ASSERT_TRUE(std::adjacent_find(expected.begin(), expected.end()) ==
+              expected.end())
+      << "every churn op must change the snapshot";
+
+  for (std::size_t nth = 0; nth < ops.size(); ++nth) {
+    RoundJournal journal;
+    {
+      AuctioneerSession doomed(w.config, n);
+      start(doomed, journal);
+      CrashInjector crashes;
+      crashes.arm(CrashPoint::kMidChurn, nth);
+      EXPECT_THROW(drive(doomed, 0, crashes, nullptr), CrashSignal)
+          << "armed checkpoint " << nth << " never fired";
+    }
+    AuctioneerSession recovered(w.config, n);
+    RoundReport report;
+    replay_session_journal(journal, recovered, n, report);
+    EXPECT_GT(report.replayed_records, 0u);
+    EXPECT_EQ(recovered.snapshot(), expected[nth]) << "crash at op " << nth;
+    // Resume on the same journal, where the dead session left it.
+    recovered.attach_journal(&journal);
+    CrashInjector never;
+    drive(recovered, nth + 1, never, nullptr);
+    EXPECT_EQ(recovered.snapshot(), expected.back()) << "crash at op " << nth;
+    EXPECT_TRUE(recovered.is_absent(1));
+    EXPECT_TRUE(recovered.is_absent(2));
+    EXPECT_FALSE(recovered.is_absent(4));
+  }
 }
 
 TEST(TtpService, RejectsNonChargeEnvelopes) {

@@ -64,8 +64,9 @@ TEST(RecoveryCrashMatrix, EveryCrashPointRecoversByteIdentically) {
   ASSERT_EQ(counter.crashes_fired(), 0u);
   ASSERT_GT(counter.total_hits(), 0u);
   // Every defined crash point is reached at least once in a full round —
-  // except kMidChurn, which only churn harnesses drive (bench/abl_churn
-  // and the churn soak test own that leg of the matrix).
+  // except kMidChurn, which only a scripted churn schedule reaches
+  // (AuctioneerSession.ChurnCrashAtEveryMidChurnPointReplaysAndResumes
+  // and SocketCrashMatrix own that leg of the matrix).
   for (std::size_t p = 0; p < kNumCrashPoints; ++p) {
     const auto point = static_cast<CrashPoint>(p);
     if (point == CrashPoint::kMidChurn) continue;

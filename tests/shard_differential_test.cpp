@@ -9,11 +9,9 @@
 #include <algorithm>
 #include <set>
 
-#include "core/churn_state.h"
 #include "core/lppa_auction.h"
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
-#include "obs/metrics.h"
 #include "proto/session.h"
 #include "shard/shard_plan.h"
 
@@ -323,110 +321,6 @@ TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
     }
     EXPECT_TRUE(sharded.empty());
   }
-}
-
-TEST(ShardedBidTable, BoundarySuRemovalLeavesNoStaleHaloState) {
-  // Adversarial churn removal: the departing SU sits right on a tile
-  // border, so its x-range digests live in a NEIGHBOUR tile's halo index
-  // and its row could win a foreign shard's local argmax.  After
-  // remove_su, nothing of it may linger: no stale halo conflict edge, no
-  // stale halo winner in the merged argmax, and the shard counters of a
-  // fresh rebuild must agree with the maintained assignment.
-  const std::size_t k = 2;
-  core::LppaConfig cfg = base_config(k, /*lambda=*/100, /*coord_width=*/14);
-  cfg.num_shards = 4;  // 2x2 tiles over [0, 16384)^2, borders at 8192
-
-  // SU 0: boundary SU (x = 8190, within 2λ of the x border), top bidder
-  // on channel 0.  SU 1: across the border in the east tile, conflicting
-  // with SU 0.  SUs 2 and 3: interior of other tiles, no conflicts.
-  const std::vector<auction::SuLocation> locations = {
-      {8190, 4000}, {8290, 4040}, {2000, 2000}, {12000, 12000}};
-  const std::vector<auction::BidVector> bids = {
-      {15, 1}, {9, 7}, {5, 3}, {4, 2}};
-  const std::size_t n = locations.size();
-
-  core::TrustedThirdParty ttp(cfg.bid, 5);
-  const core::SuKeyBundle keys = ttp.su_keys();
-  const core::PpbsLocation location_protocol(keys.g0, cfg.coord_width,
-                                             cfg.lambda,
-                                             cfg.pad_location_ranges);
-  const core::BidSubmitter submitter(ttp.config(), keys.gb_master, keys.gc);
-  Rng rng(19);
-  std::vector<core::LocationSubmission> loc_subs;
-  std::vector<core::BidSubmission> bid_subs;
-  for (std::size_t u = 0; u < n; ++u) {
-    loc_subs.push_back(location_protocol.submit(locations[u], rng));
-    bid_subs.push_back(submitter.submit(bids[u], rng));
-  }
-
-  const shard::ShardPlan plan =
-      shard::ShardPlan::make(cfg.coord_width, cfg.lambda, cfg.num_shards);
-  ASSERT_TRUE(plan.on_boundary(locations[0]));
-  ASSERT_NE(plan.tile_of(locations[0]), plan.tile_of(locations[1]));
-
-  obs::MetricsRegistry metrics;
-  cfg.metrics = &metrics;
-  core::ChurnState state(cfg, locations, loc_subs, bid_subs,
-                         std::vector<bool>(n, true));
-  ASSERT_TRUE(state.graph().conflicts(0, 1));
-  ASSERT_EQ(state.table().argmax_in_column(0), auction::UserId{0});
-
-  // Departure of the boundary SU.
-  state.remove_su(0);
-  EXPECT_FALSE(state.graph().conflicts(0, 1));
-  EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
-  EXPECT_TRUE(state.assignment() == state.rebuild_assignment());
-  EXPECT_EQ(state.serialize_table(), state.rebuild_table().serialize());
-  // No stale halo winner: the east tile's merged argmax moves on.
-  EXPECT_EQ(state.table().argmax_in_column(0), auction::UserId{1});
-  EXPECT_EQ(state.rebuild_table().argmax_in_column(0), auction::UserId{1});
-
-  // A fresh sharded build over the post-departure roster must report
-  // counters consistent with the maintained assignment: every halo index
-  // entry accounted for by a live halo SU's x-range digests, every edge
-  // classified local or halo.
-  obs::MetricsRegistry rebuilt_metrics;
-  const auction::ConflictGraph rebuilt = core::build_conflict_graph_sharded(
-      state.locations(), state.assignment(), /*num_threads=*/1,
-      &rebuilt_metrics);
-  std::size_t expected_halo_entries = 0;
-  for (const auto& halo : state.assignment().halo) {
-    for (const std::uint32_t j : halo) {
-      expected_halo_entries += state.locations()[j].x_range.size();
-    }
-  }
-  EXPECT_EQ(rebuilt_metrics.counter("shard.halo_index_entries").value(),
-            expected_halo_entries);
-  EXPECT_EQ(rebuilt_metrics.counter("shard.local_edges").value() +
-                rebuilt_metrics.counter("shard.halo_edges").value(),
-            rebuilt.edge_count());
-
-  // Arrival into the freed slot near the old border spot: if any of SU
-  // 0's digests had survived in a halo index, the probe would resurrect
-  // a phantom edge and diverge from the rebuild.
-  Rng arrival_rng(23);
-  const auction::SuLocation back = {8200, 4010};
-  state.add_su(0, back, location_protocol.submit(back, arrival_rng),
-               submitter.submit({6, 6}, arrival_rng));
-  EXPECT_TRUE(state.graph().conflicts(0, 1));
-  EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
-  EXPECT_TRUE(state.assignment() == state.rebuild_assignment());
-  EXPECT_EQ(state.serialize_table(), state.rebuild_table().serialize());
-
-  // Digest bookkeeping is halo-symmetric: the arrival inserted exactly
-  // as many (digest, owner) pairs as its later departure erases.
-  const std::uint64_t inserted =
-      metrics.counter("churn.digests_inserted").value();
-  const std::uint64_t erased_before =
-      metrics.counter("churn.digests_erased").value();
-  state.remove_su(0);
-  const std::uint64_t arrival_pairs =
-      metrics.counter("churn.digests_erased").value() - erased_before;
-  EXPECT_GT(arrival_pairs, 0u);
-  // The only link so far was that arrival, so total insertions == its
-  // erasure count (home + halo copies both ways).
-  EXPECT_EQ(arrival_pairs, inserted);
-  EXPECT_TRUE(state.graph() == state.rebuild_conflicts());
 }
 
 TEST(ShardedBidTable, SerializesTheGlobalImageAndRestoresResharded) {
