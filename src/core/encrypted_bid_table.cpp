@@ -177,23 +177,19 @@ std::optional<auction::UserId> EncryptedBidTable::scan_max(
 }
 
 std::optional<auction::UserId> EncryptedBidTable::runner_up(
-    ChannelId r, UserId winner, const std::vector<bool>& eligible) const {
+    ChannelId r, UserId winner) const {
   LPPA_REQUIRE(winner < users_, "bid table index out of range");
-  return rival_max(r, winner, eligible);
+  return rival_max(r, winner);
 }
 
 std::optional<auction::UserId> EncryptedBidTable::rival_max(
-    ChannelId r, std::optional<UserId> skip,
-    const std::vector<bool>& eligible) const {
+    ChannelId r, std::optional<UserId> skip) const {
   LPPA_REQUIRE(r < channels_, "bid table index out of range");
-  LPPA_REQUIRE(eligible.size() == submissions_->size(),
-               "eligibility mask must cover every submission");
-  const auto counts = [&](std::size_t u) {
-    return u != skip && eligible[members_.empty() ? u : members_[u]];
-  };
+  const auto counts = [&](std::size_t u) { return u != skip; };
   if (strategy_ != ArgmaxStrategy::kSortedColumns) return scan_max(r, counts);
-  // The stable sort ranked every user, consumed or not.  A Byzantine
-  // column scrambles only its own order (see stable_merge_sort).
+  // The stable sort ranked every user, consumed or not, so the answer is
+  // one of the first two entries.  A Byzantine column scrambles only its
+  // own order (see stable_merge_sort).
   for (const std::uint32_t u : order_[r]) {
     if (counts(u)) return static_cast<UserId>(u);
   }

@@ -44,11 +44,10 @@ class MaskedBidTable : public auction::BidTableView {
   /// The masked entry, present or not (charge queries carry it).
   virtual const ChannelBidSubmission& entry(UserId u, ChannelId r) const = 0;
 
-  /// Column r's highest masked bid among users u != winner with
-  /// eligible[u] (false for users the caller excludes from pricing),
-  /// lowest id among equals.  Consumed cells still count as rivals.
-  virtual std::optional<UserId> runner_up(
-      ChannelId r, UserId winner, const std::vector<bool>& eligible) const = 0;
+  /// Column r's highest masked bid among users u != winner, lowest id
+  /// among equals.  Consumed cells still count as rivals.
+  virtual std::optional<UserId> runner_up(ChannelId r,
+                                          UserId winner) const = 0;
 
   /// The global EncryptedBidTable wire image.
   virtual Bytes serialize() const = 0;
@@ -103,12 +102,9 @@ class EncryptedBidTable final : public MaskedBidTable {
 
   const ChannelBidSubmission& entry(UserId u, ChannelId r) const override;
 
-  /// Sorted: the first eligible non-winner entry of order_[r], no ge()
-  /// call.  Scan: the seed's O(n) tournament.  A subset view reads
-  /// `eligible` by global id.
-  std::optional<UserId> runner_up(
-      ChannelId r, UserId winner,
-      const std::vector<bool>& eligible) const override;
+  /// Sorted: the first non-winner entry of order_[r], no ge() call.
+  /// Scan: the seed's O(n) tournament.
+  std::optional<UserId> runner_up(ChannelId r, UserId winner) const override;
 
   /// Serializes the full table state — the masked submissions plus the
   /// presence bitmap (packed, with the live-cell count cross-checked at
@@ -172,8 +168,8 @@ class EncryptedBidTable final : public MaskedBidTable {
   std::optional<UserId> argmax_sorted(ChannelId r) const;
 
   /// runner_up with an optional winner (shards without it skip nobody).
-  std::optional<UserId> rival_max(ChannelId r, std::optional<UserId> skip,
-                                  const std::vector<bool>& eligible) const;
+  std::optional<UserId> rival_max(ChannelId r,
+                                  std::optional<UserId> skip) const;
 
   const std::vector<BidSubmission>* submissions_ = nullptr;
   /// Subset view (shard) only: local user id -> index into submissions_.

@@ -1,5 +1,7 @@
 #include "core/lppa_auction.h"
 
+#include <algorithm>
+
 #include "common/thread_pool.h"
 #include "core/shard_conflict.h"
 #include "core/sharded_bid_table.h"
@@ -12,7 +14,6 @@ namespace lppa::core {
 LppaAuction::LppaAuction(LppaConfig config, std::uint64_t ttp_seed)
     : config_(config), ttp_(config.bid, ttp_seed, config.charging_rule) {
   LPPA_REQUIRE(config_.num_channels > 0, "auction requires channels");
-  LPPA_REQUIRE(config_.ttp_batch_size > 0, "TTP batch size must be positive");
   LPPA_REQUIRE(config_.num_shards >= 1, "shard count must be at least 1");
   if (config_.backend == nullptr) config_.backend = &ttp_.bid_backend();
   LPPA_REQUIRE(config_.backend->id() == config_.bid.backend,
@@ -53,20 +54,11 @@ LppaOutcome LppaAuction::run(
   const BidSubmitter submitter(ttp_.config(), keys.gb_master, keys.gc,
                                keys.paillier);
 
-  // All SU-side randomness comes from a single fork of the caller's
-  // stream, so the allocation below consumes exactly one fork() worth of
-  // caller state regardless of N or k — a baseline run can mirror that
-  // with one fork() and then share the allocation random sequence.
-  //
-  // Per-SU streams are forked serially up front (forks are cheap), then
-  // the HMAC-heavy submission work fans out: SU i reads only su_rngs[i]
-  // and writes only slot i, so the transcript is byte-identical for
-  // every value of num_threads.
-  Rng su_master = rng.fork();
+  // SU i reads only su_rngs[i] and writes only slot i, so the HMAC-heavy
+  // submission work fans out and the transcript is byte-identical for
+  // every value of num_threads (fork_su_streams).
   const std::size_t n = locations.size();
-  std::vector<Rng> su_rngs;
-  su_rngs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) su_rngs.push_back(su_master.fork());
+  std::vector<Rng> su_rngs = fork_su_streams(rng, n);
 
   view.locations.resize(n);
   view.bids.resize(n);
@@ -95,45 +87,28 @@ LppaOutcome LppaAuction::run(
       validator.check_bid(view.bids[i]);
     }
   }
-  // Geo-sharding (num_shards > 1): the plan partitions the grid into
-  // tiles and is computed from the SU-side plaintext locations this
-  // in-process round already holds on the SUs' behalf — the auctioneer
-  // still only ever touches the masked submissions (see
-  // shard/shard_plan.h on routing and tile-granular disclosure).
-  std::optional<shard::ShardAssignment> assignment;
-  if (config_.num_shards > 1) {
-    const shard::ShardPlan plan = shard::ShardPlan::make(
-        config_.coord_width, config_.lambda, config_.num_shards);
-    assignment = plan.assign(locations);
-  }
+  // Geo-sharding (num_shards > 1) routes the conflict-graph build only,
+  // by tiles computed from the plaintext locations this in-process round
+  // holds on the SUs' behalf (shard/shard_plan.h on tile-granular
+  // disclosure).  The bid table needs no geometry (make_bid_table).
   {
     obs::Span conflict_span(m, "auction.conflict_graph", &round_span);
-    if (assignment) {
+    if (config_.num_shards > 1) {
+      const shard::ShardPlan plan = shard::ShardPlan::make(
+          config_.coord_width, config_.lambda, config_.num_shards);
       view.conflicts = build_conflict_graph_sharded(
-          view.locations, *assignment, config_.num_threads, m);
+          view.locations, plan.assign(locations), config_.num_threads, m);
     } else {
       view.conflicts = PpbsLocation::build_conflict_graph(view.locations,
                                                           config_.num_threads);
     }
   }
-  const std::vector<bool> all_live(n, true);
-  MaintainedRoundOutcome round;
   obs::Span table_span(m, "auction.bid_table", &round_span);
-  if (assignment) {
-    ShardedBidTable table(view.bids, config_.num_channels, assignment->shard_of,
-                          config_.num_shards, config_.argmax_strategy,
-                          config_.num_threads, m, config_.backend);
-    table_span.end();
-    round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
-                                &round_span);
-  } else {
-    EncryptedBidTable table(view.bids, config_.num_channels,
-                            config_.argmax_strategy, config_.num_threads,
-                            config_.backend);
-    table_span.end();
-    round = allocate_and_charge(view.bids, view.conflicts, table, all_live, rng,
-                                &round_span);
-  }
+  const std::unique_ptr<MaskedBidTable> table =
+      make_bid_table(view.bids, config_);
+  table_span.end();
+  MaintainedRoundOutcome round =
+      run_psd(view.conflicts, *table, rng, &round_span);
 
   result.manipulations_detected = round.manipulations_detected;
   result.outcome.awards = round.awards;
@@ -141,13 +116,53 @@ LppaOutcome LppaAuction::run(
   return result;
 }
 
+std::vector<Rng> fork_su_streams(Rng& rng, std::size_t n) {
+  Rng su_master = rng.fork();
+  std::vector<Rng> su_rngs;
+  su_rngs.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) su_rngs.push_back(su_master.fork());
+  return su_rngs;
+}
+
+std::unique_ptr<MaskedBidTable> make_bid_table(
+    const std::vector<BidSubmission>& bids, const LppaConfig& config) {
+  if (config.num_shards > 1) {
+    return std::make_unique<ShardedBidTable>(
+        bids, config.num_channels,
+        ShardedBidTable::contiguous_shards(bids.size(), config.num_shards),
+        config.num_shards, config.argmax_strategy, config.num_threads,
+        config.metrics, config.backend);
+  }
+  return std::make_unique<EncryptedBidTable>(
+      bids, config.num_channels, config.argmax_strategy, config.num_threads,
+      config.backend);
+}
+
+std::unique_ptr<MaskedBidTable> restore_bid_table(
+    std::span<const std::uint8_t> image, const LppaConfig& config) {
+  EncryptedBidTable global = EncryptedBidTable::deserialize(
+      image, config.argmax_strategy, config.num_threads, config.backend);
+  if (config.num_shards <= 1) {
+    return std::make_unique<EncryptedBidTable>(std::move(global));
+  }
+  const std::size_t n = global.num_users();
+  return std::make_unique<ShardedBidTable>(ShardedBidTable::restore(
+      std::move(global),
+      ShardedBidTable::contiguous_shards(n, config.num_shards),
+      config.num_shards, config.argmax_strategy, config.num_threads,
+      config.metrics));
+}
+
+namespace {
+
+/// The TTP query pricing table user u's award of channel r.
 ChargeQuery charge_query(const MaskedBidTable& table, UserId u, ChannelId r,
-                         ChargingRule rule, const std::vector<bool>& eligible) {
+                         ChargingRule rule) {
   const ChannelBidSubmission& entry = table.entry(u, r);
   ChargeQuery query{u,  r, entry.sealed, entry.value_family, entry.paillier_ct,
                     {}, {}, 0};
   if (rule != ChargingRule::kSecondPrice) return query;
-  if (const auto second = table.runner_up(r, u, eligible)) {
+  if (const auto second = table.runner_up(r, u)) {
     const ChannelBidSubmission& runner_up = table.entry(*second, r);
     query.runner_up_sealed = runner_up.sealed;
     query.runner_up_family = runner_up.value_family;
@@ -156,12 +171,44 @@ ChargeQuery charge_query(const MaskedBidTable& table, UserId u, ChannelId r,
   return query;
 }
 
+}  // namespace
+
+std::vector<std::vector<ChargeQuery>> charge_batches(
+    const MaskedBidTable& table, const std::vector<auction::Award>& awards,
+    const LppaConfig& config) {
+  LPPA_REQUIRE(config.ttp_batch_size > 0, "TTP batch size must be positive");
+  std::vector<std::vector<ChargeQuery>> batches;
+  for (std::size_t i = 0; i < awards.size(); ++i) {
+    if (i % config.ttp_batch_size == 0) batches.emplace_back();
+    batches.back().push_back(charge_query(table, awards[i].user,
+                                          awards[i].channel,
+                                          config.charging_rule));
+  }
+  return batches;
+}
+
+bool apply_charge(auction::Award& award, const ChargeResult& result) {
+  award.valid = result.valid && !result.manipulated;
+  award.charge = result.manipulated ? 0 : result.charge;
+  return result.manipulated;
+}
+
 MaintainedRoundOutcome LppaAuction::allocate_and_charge(
     const std::vector<BidSubmission>& bids,
     const auction::ConflictGraph& conflicts, MaskedBidTable& table,
     const std::vector<bool>& live, Rng& rng, obs::Span* parent) {
-  LPPA_REQUIRE(live.size() == bids.size() && table.num_users() == bids.size(),
-               "live mask and table must cover every slot");
+  LPPA_REQUIRE(table.num_users() == bids.size(),
+               "the table must cover every submission");
+  LPPA_REQUIRE(live.size() == bids.size() &&
+                   std::all_of(live.begin(), live.end(),
+                               [](bool b) { return b; }),
+               "every user must be live: no user can be excluded from pricing");
+  return run_psd(conflicts, table, rng, parent);
+}
+
+MaintainedRoundOutcome LppaAuction::run_psd(
+    const auction::ConflictGraph& conflicts, MaskedBidTable& table, Rng& rng,
+    obs::Span* parent) {
   obs::MetricsRegistry* const m = config_.metrics;
 
   obs::Span allocate_span(m, "auction.allocate", parent);
@@ -170,37 +217,18 @@ MaintainedRoundOutcome LppaAuction::allocate_and_charge(
   allocate_span.end();
   if (m != nullptr) m->counter("auction.awards").inc(result.awards.size());
 
-  obs::Span charging_span(m, "auction.charging", parent);
-  std::vector<auction::Award>& awards = result.awards;
-
   // --- Charging through the periodically-available TTP --------------------
-  // Queries go out in award order and process_batch answers in query
-  // order, so result i of a batch prices award `charged + i`.
-  std::vector<ChargeQuery> pending;
+  // Batches follow award order and the TTP answers in query order.
+  obs::Span charging_span(m, "auction.charging", parent);
   std::size_t charged = 0;
-  auto flush = [&] {
-    if (pending.empty()) return;
-    for (const auto& res : ttp_.process_batch(pending)) {
-      auction::Award& award = awards[charged++];
+  for (const auto& batch : charge_batches(table, result.awards, config_)) {
+    for (const auto& res : ttp_.process_batch(batch)) {
+      auction::Award& award = result.awards[charged++];
       LPPA_REQUIRE(award.user == res.user && award.channel == res.channel,
                    "TTP answered out of query order");
-      if (res.manipulated) {
-        ++result.manipulations_detected;
-        award.valid = false;
-        award.charge = 0;
-      } else {
-        award.valid = res.valid;
-        award.charge = res.charge;
-      }
+      if (apply_charge(award, res)) ++result.manipulations_detected;
     }
-    pending.clear();
-  };
-  for (const auto& award : awards) {
-    pending.push_back(charge_query(table, award.user, award.channel,
-                                   config_.charging_rule, live));
-    if (pending.size() >= config_.ttp_batch_size) flush();
   }
-  flush();
   charging_span.end();
   if (m != nullptr && result.manipulations_detected > 0) {
     m->counter("auction.manipulations").inc(result.manipulations_detected);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "auction/allocate.h"
@@ -32,10 +34,11 @@ struct LppaConfig {
   bool pad_location_ranges = true;
   std::size_t ttp_batch_size = 16;  ///< charge queries per TTP flush
   ChargingRule charging_rule = ChargingRule::kFirstPrice;
-  /// Worker threads for the SU submission loop and the conflict-graph
-  /// probe (0 = hardware concurrency).  Each SU draws from its own
-  /// pre-forked RNG stream and writes only its own output slot, so the
-  /// outcome is byte-identical for every thread count.
+  /// Worker threads for the SU submission loop, the conflict-graph probe
+  /// and the bid-table column sorts (0 = hardware concurrency).  Each SU
+  /// draws from its own pre-forked RNG stream and writes only its own
+  /// output slot, and columns sort independently, so the outcome is
+  /// byte-identical for every thread count.
   std::size_t num_threads = 0;
   /// Run every submission through core::SubmissionValidator before it
   /// enters the conflict-graph build / EncryptedBidTable.  In-process
@@ -49,14 +52,17 @@ struct LppaConfig {
   /// the seed path, kept selectable for differential testing (both yield
   /// byte-identical awards/charges on honest submissions).
   ArgmaxStrategy argmax_strategy = ArgmaxStrategy::kSortedColumns;
-  /// Geo-sharded execution (docs/performance.md, "Sharding").  >1 tiles
-  /// the coordinate grid into that many partitions (shard/shard_plan.h):
-  /// per-shard digest indexes + bid tables build and probe in parallel,
-  /// with only boundary index entries exchanged between tiles (the halo)
-  /// and a deterministic cross-shard argmax merge.  Awards, charges, and
-  /// the winner announcement are byte-identical to the default
-  /// single-partition path (1) for every shard count and thread count —
-  /// pinned by tests/shard_differential_test.
+  /// Sharded execution (docs/performance.md, "Sharding").  >1 tiles the
+  /// coordinate grid into that many partitions (shard/shard_plan.h) for
+  /// the engine's conflict-graph build: per-tile digest indexes build and
+  /// probe in parallel, with only boundary index entries exchanged
+  /// between tiles (the halo).  The bid table splits into as many
+  /// contiguous, geometry-free shards (make_bid_table) in the engine and
+  /// the wire session alike, with a deterministic cross-shard argmax
+  /// merge.  Awards, charges, and the winner announcement are
+  /// byte-identical to the default single-partition path (1) for every
+  /// shard count and thread count — pinned by
+  /// tests/shard_differential_test.
   std::size_t num_shards = 1;
   /// The resolved crypto backend driving every masked comparison this
   /// round (bid-table sorts, argmax and runner-up merges).  Null means
@@ -99,11 +105,35 @@ struct MaintainedRoundOutcome {
   std::size_t manipulations_detected = 0;
 };
 
-/// The TTP query pricing table user u's award of channel r: u's masked
-/// entry plus, under second price, the column runner-up's among
-/// `eligible` users.  Shared by the engine and the wire session.
-ChargeQuery charge_query(const MaskedBidTable& table, UserId u, ChannelId r,
-                         ChargingRule rule, const std::vector<bool>& eligible);
+/// The round's SU-side RNG discipline, which makes the engine and the
+/// wire session award identically: `rng` forks once for an SU master,
+/// which forks once per SU in index order.  The caller's stream advances
+/// by one fork() whatever n is.
+std::vector<Rng> fork_su_streams(Rng& rng, std::size_t n);
+
+/// The round's masked bid table over `bids` (referenced, not copied), as
+/// `config` says: num_shards > 1 builds a ShardedBidTable over the
+/// geometry-free contiguous partition, else an EncryptedBidTable; columns
+/// sort on config.num_threads.  The partition never changes an answer.
+std::unique_ptr<MaskedBidTable> make_bid_table(
+    const std::vector<BidSubmission>& bids, const LppaConfig& config);
+
+/// make_bid_table's restore twin over an EncryptedBidTable wire image,
+/// taken under any shard count.  Throws LppaError(kProtocol) on a
+/// damaged image or a backend mismatch.
+std::unique_ptr<MaskedBidTable> restore_bid_table(
+    std::span<const std::uint8_t> image, const LppaConfig& config);
+
+/// The TTP queries pricing `awards` (table user ids) in award order, cut
+/// into batches of config.ttp_batch_size.  Each carries the winner's
+/// masked entry plus, under second price, the column runner-up's.
+std::vector<std::vector<ChargeQuery>> charge_batches(
+    const MaskedBidTable& table, const std::vector<auction::Award>& awards,
+    const LppaConfig& config);
+
+/// Writes the TTP's verdict onto its award; true when the TTP flagged a
+/// manipulation (the award is then invalid and uncharged).
+bool apply_charge(auction::Award& award, const ChargeResult& result);
 
 class LppaAuction {
  public:
@@ -113,15 +143,11 @@ class LppaAuction {
   LppaOutcome run(const std::vector<auction::SuLocation>& locations,
                   const std::vector<BidVector>& bids, Rng& rng);
 
-  /// The auctioneer+TTP tail of a round over pre-built state: greedy
-  /// allocation on `table` (which it consumes) followed by batched TTP
-  /// charging.  `table` must be built over `bids`; `live` marks the users
-  /// that may be priced as second-price runner-ups — a caller that has
-  /// tombstoned a user's row must clear its bit too, since the runner-up
-  /// query counts consumed cells as rivals.
-  /// run() is exactly this helper applied to a freshly built round with
-  /// every user live, so callers that build their own round state share
-  /// one charging/validation path with it byte for byte.
+  /// The auctioneer+TTP tail of a round over pre-built state, the path
+  /// run() takes: greedy allocation on `table` (which it consumes), then
+  /// batched TTP charging.  `table` must be built over `bids`.  `live`
+  /// must hold one true bit per bid; the mask is left over from the
+  /// deleted churn layer and goes at the next benchmark change.
   MaintainedRoundOutcome allocate_and_charge(
       const std::vector<BidSubmission>& bids,
       const auction::ConflictGraph& conflicts, MaskedBidTable& table,
@@ -132,6 +158,11 @@ class LppaAuction {
   TrustedThirdParty& ttp() noexcept { return ttp_; }
 
  private:
+  /// PSD over a built table: allocation, then charging.
+  MaintainedRoundOutcome run_psd(const auction::ConflictGraph& conflicts,
+                                 MaskedBidTable& table, Rng& rng,
+                                 obs::Span* parent);
+
   LppaConfig config_;
   TrustedThirdParty ttp_;
 };

@@ -187,15 +187,13 @@ std::optional<auction::UserId> ShardedBidTable::argmax_in_column(
 }
 
 std::optional<auction::UserId> ShardedBidTable::runner_up(
-    ChannelId r, UserId winner, const std::vector<bool>& eligible) const {
+    ChannelId r, UserId winner) const {
   LPPA_REQUIRE(winner < users_ && r < channels_,
                "bid table index out of range");
   return merge(r, [&](std::size_t s, const EncryptedBidTable& shard) {
-    return shard.rival_max(r,
-                           shard_of_[winner] == s
-                               ? std::optional<UserId>(local_index_[winner])
-                               : std::nullopt,
-                           eligible);
+    return shard.rival_max(r, shard_of_[winner] == s
+                                  ? std::optional<UserId>(local_index_[winner])
+                                  : std::nullopt);
   });
 }
 

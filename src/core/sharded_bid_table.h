@@ -3,10 +3,11 @@
 // a deterministic cross-shard argmax merge.
 //
 // Each shard's table is a subset view over the global submissions vector
-// (no submission is copied), covering only the SUs the ShardPlan
-// assigned to that tile; shards sort their columns independently and in
-// parallel.  A column-max query then asks every shard for its local
-// winner (amortised O(1) on the sorted strategy) and merges the at-most
+// (no submission is copied), covering only the SUs the shard map
+// assigns to it — core::make_bid_table uses the geometry-free contiguous
+// partition; shards sort their columns independently and in parallel.
+// A column-max query then asks every shard for its local winner
+// (amortised O(1) on the sorted strategy) and merges the at-most
 // num_shards candidates with the same masked comparison the global sort
 // uses, breaking ties to the lowest global user id.
 //
@@ -76,9 +77,9 @@ class ShardedBidTable final : public MaskedBidTable {
                                  obs::MetricsRegistry* metrics = nullptr);
 
   /// The geometry-free balanced partition: user u -> u*num_shards/n.
-  /// AuctioneerSession uses it when reconfigured sharded — the masked
-  /// domain hides tile geometry from the wire session, and the partition
-  /// choice never affects answers, only memory locality.
+  /// core::make_bid_table and core::restore_bid_table use it for the
+  /// engine and the wire session alike: it discloses no placement, and
+  /// the partition choice never affects answers, only memory locality.
   static std::vector<std::uint32_t> contiguous_shards(std::size_t n,
                                                       std::size_t num_shards);
 
@@ -106,9 +107,7 @@ class ShardedBidTable final : public MaskedBidTable {
   const ChannelBidSubmission& entry(UserId u, ChannelId r) const override;
 
   /// Per-shard runner-ups merged like argmax: <= num_shards - 1 ge().
-  std::optional<UserId> runner_up(
-      ChannelId r, UserId winner,
-      const std::vector<bool>& eligible) const override;
+  std::optional<UserId> runner_up(ChannelId r, UserId winner) const override;
 
   /// Global EncryptedBidTable-format image (see class comment).
   Bytes serialize() const override;

@@ -1,7 +1,6 @@
 #include "proto/parties.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "obs/metrics.h"
 
@@ -363,20 +362,7 @@ void AuctioneerSession::run_allocation(Rng& rng) {
   }
 
   compact_participants();
-  if (config_.num_shards > 1) {
-    table_ = std::make_unique<core::ShardedBidTable>(
-        bid_store_, config_.num_channels,
-        core::ShardedBidTable::contiguous_shards(bid_store_.size(),
-                                                 config_.num_shards),
-        config_.num_shards, config_.argmax_strategy, config_.num_threads,
-        config_.metrics, config_.backend);
-  } else {
-    // One sort thread: a 4-SU socket round is all fixed cost, and waking
-    // the pool would dominate it.
-    table_ = std::make_unique<core::EncryptedBidTable>(
-        bid_store_, config_.num_channels, config_.argmax_strategy,
-        /*sort_threads=*/1, config_.backend);
-  }
+  table_ = core::make_bid_table(bid_store_, config_);
   awards_ = auction::greedy_allocate(*table_, *conflicts_, rng);
   for (auto& award : awards_) {
     award.user = participants_[award.user];
@@ -415,29 +401,18 @@ std::optional<std::size_t> AuctioneerSession::award_of(
 
 std::vector<Bytes> AuctioneerSession::charge_query_envelopes() const {
   LPPA_REQUIRE(allocated_, "allocation has not run yet");
+  // The table holds participants only, in compacted ids ascending like
+  // the original ones, so its lowest-id tie-break is the original-id one.
+  std::vector<auction::Award> table_awards = awards_;
+  for (auto& award : table_awards) award.user = slot_of(award.user);
   std::vector<Bytes> batches;
-  std::vector<core::ChargeQuery> pending;
-  auto flush = [&] {
-    if (pending.empty()) return;
+  for (auto& queries : core::charge_batches(*table_, table_awards, config_)) {
+    for (auto& query : queries) query.user = participants_[query.user];
     Envelope e;
     e.type = MessageType::kChargeQueryBatch;
-    e.payload = serialize_charge_queries(pending);
+    e.payload = serialize_charge_queries(queries);
     batches.push_back(e.serialize());
-    pending.clear();
-  };
-  // Every participant is a rival.  The table holds participants only, in
-  // compacted ids ascending like the original ones, so its lowest-id
-  // tie-break is the original-id one.
-  const std::vector<bool> everyone(bid_store_.size(), true);
-  for (const auto& award : awards_) {
-    core::ChargeQuery query =
-        core::charge_query(*table_, slot_of(award.user), award.channel,
-                           config_.charging_rule, everyone);
-    query.user = award.user;
-    pending.push_back(std::move(query));
-    if (pending.size() >= config_.ttp_batch_size) flush();
   }
-  flush();
   return batches;
 }
 
@@ -460,9 +435,7 @@ void AuctioneerSession::ingest_charge_results(const Bytes& envelope_bytes) {
   for (const auto& res : results) {
     const auto i = award_of(res);
     LPPA_PROTOCOL_CHECK(i.has_value(), "charge result for an unknown award");
-    auto& award = awards_[*i];
-    award.valid = res.valid && !res.manipulated;
-    award.charge = res.manipulated ? 0 : res.charge;
+    core::apply_charge(awards_[*i], res);
     charge_done_[*i] = true;
   }
 }
@@ -620,29 +593,12 @@ void AuctioneerSession::restore_from(std::span<const std::uint8_t> wire) {
     LPPA_PROTOCOL_CHECK(finalized_, "snapshot allocated without finalizing");
     // The conflict graph is rebuilt from the restored location
     // submissions — deterministic, no randomness — so only the bid
-    // table's consumed-cell state needs the serialized image.  One sort
-    // thread, as in run_allocation.
+    // table's consumed-cell state needs the serialized image.
     compact_participants();
-    core::EncryptedBidTable global = core::EncryptedBidTable::deserialize(
-        r.bytes(), config_.argmax_strategy, /*sort_threads=*/1,
-        config_.backend);
-    LPPA_PROTOCOL_CHECK(global.num_users() == participants_.size() &&
-                            global.num_channels() == config_.num_channels,
+    table_ = core::restore_bid_table(r.bytes(), config_);
+    LPPA_PROTOCOL_CHECK(table_->num_users() == participants_.size() &&
+                            table_->num_channels() == config_.num_channels,
                         "snapshot bid table dimensions mismatch");
-    if (config_.num_shards > 1) {
-      // Re-shard the restored image: the snapshot may have been taken
-      // under any shard count (including 1) — the global image plus the
-      // deterministic contiguous partition reproduces the exact table.
-      table_ = std::make_unique<core::ShardedBidTable>(
-          core::ShardedBidTable::restore(
-              std::move(global),
-              core::ShardedBidTable::contiguous_shards(participants_.size(),
-                                                       config_.num_shards),
-              config_.num_shards, config_.argmax_strategy,
-              config_.num_threads, config_.metrics));
-    } else {
-      table_ = std::make_unique<core::EncryptedBidTable>(std::move(global));
-    }
     const std::uint32_t num_awards = r.u32();
     awards_.reserve(num_awards);
     for (std::uint32_t i = 0; i < num_awards; ++i) {

@@ -14,7 +14,6 @@
 #include "auction/allocate.h"
 #include "core/encrypted_bid_table.h"
 #include "core/lppa_auction.h"
-#include "core/sharded_bid_table.h"
 #include "core/submission_validator.h"
 #include "proto/journal.h"
 #include "proto/messages.h"
@@ -227,15 +226,13 @@ class AuctioneerSession {
   bool finalized_ = false;
   std::vector<core::BidSubmission> bid_store_;  ///< participants, compacted
   std::optional<auction::ConflictGraph> conflicts_;
-  /// The masked bid table as the allocator left it (cells consumed).
-  /// References bid_store_ on the run_allocation path and owns its
-  /// submissions on the restore path; the session is used in place by
-  /// the drivers, never moved, so the reference stays valid.  With
-  /// config_.num_shards > 1 it is a ShardedBidTable over the
-  /// geometry-free contiguous partition (the wire session never sees tile
-  /// geometry, and the partition never affects answers).  Snapshots use
-  /// the global image either way, so journals interchange across shard
-  /// counts.
+  /// The masked bid table as the allocator left it (cells consumed),
+  /// built by core::make_bid_table or core::restore_bid_table, like the
+  /// engine's.  References bid_store_ on the run_allocation path and owns
+  /// its submissions on the restore path; the session is used in place by
+  /// the drivers, never moved, so the reference stays valid.  Snapshots
+  /// use the global image whatever config_.num_shards is, so journals
+  /// interchange across shard counts.
   std::unique_ptr<core::MaskedBidTable> table_;
   std::vector<auction::Award> awards_;
   std::vector<std::size_t> award_of_user_;  ///< original id -> awards_ slot

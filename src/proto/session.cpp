@@ -118,10 +118,7 @@ std::vector<SuEnvelopes> build_su_envelopes(
                "participating mask must cover every SU");
   const std::size_t n = bids.size();
   Rng boot(seed);
-  Rng su_master = boot.fork();
-  std::vector<Rng> su_rngs;
-  su_rngs.reserve(n);
-  for (std::size_t u = 0; u < n; ++u) su_rngs.push_back(su_master.fork());
+  std::vector<Rng> su_rngs = core::fork_su_streams(boot, n);
 
   std::vector<SuEnvelopes> built(n);
   parallel_for(n, 0, [&](std::size_t u) {

@@ -7,8 +7,8 @@
 // sockets.  Both run a round attempt's protocol steps through RoundCore,
 // so the RNG discipline, the crash-checkpoint order, the quorum rule and
 // the report fields are decided here once.  The RNG discipline is that of
-// core::LppaAuction::run over Rng(seed) — one fork for all SU-side
-// randomness, then the remaining stream for allocation — so under
+// core::LppaAuction::run over Rng(seed) — core::fork_su_streams for all
+// SU-side randomness, then the remaining stream for allocation — so under
 // identical seeds the engine, the bus and the socket server produce
 // identical awards, a property the transport-differential test asserts.
 #pragma once
@@ -80,9 +80,9 @@ std::vector<bool> participation_mask(std::size_t num_users,
                                      const std::vector<std::size_t>& exclude);
 
 /// Builds every participating SU's location and bid envelope, in parallel,
-/// under the round's RNG discipline: Rng(seed) forks once for all SU-side
-/// randomness, and that stream forks once per SU in index order whether
-/// or not the SU participates.  Returns the participants in index order.
+/// under the round's RNG discipline (core::fork_su_streams over
+/// Rng(seed)): every SU gets its stream whether or not it participates.
+/// Returns the participants in index order.
 std::vector<SuEnvelopes> build_su_envelopes(
     const core::LppaConfig& config, const core::SuKeyBundle& keys,
     const std::vector<auction::SuLocation>& locations,

@@ -1,13 +1,12 @@
 // Second-price charging differential suite (names prefixed `Charging`).
 //
 // The runner-up of a column is a query on the masked bid table
-// (MaskedBidTable::runner_up): the first eligible non-winner entry of
-// the order the table already sorted.  The reference is the O(n) masked
+// (MaskedBidTable::runner_up): the first non-winner entry of the order
+// the table already sorted.  The reference is the O(n) masked
 // scan charging used to run per award, kept here as the oracle:
 //   1. runner_up equals the oracle on every award, across both backends,
-//      shards {1,4}, both argmax strategies, tie-heavy populations,
-//      tombstoned users excluded from pricing, and tables restored
-//      mid-allocation;
+//      shards {1,4}, both argmax strategies, tie-heavy populations and
+//      tables restored mid-allocation;
 //   2. the wire session asks the TTP the same questions over the bus and
 //      over sockets (byte-identical charge-query envelopes);
 //   3. charging costs no ge() call on an unsharded sorted table and at
@@ -36,15 +35,15 @@ using core::MaskedBidTable;
 constexpr std::uint64_t kTtpSeed = 77;
 
 /// The charging scan this suite replaces, verbatim in behaviour: the
-/// highest masked bid among eligible users other than the winner,
-/// first-seen (lowest id) on ties, consumed cells included.
+/// highest masked bid among users other than the winner, first-seen
+/// (lowest id) on ties, consumed cells included.
 std::optional<auction::UserId> oracle_runner_up(
     const std::vector<core::BidSubmission>& subs,
     const crypto::BidBackend& backend, auction::ChannelId r,
-    auction::UserId winner, const std::vector<bool>& eligible) {
+    auction::UserId winner) {
   std::optional<auction::UserId> second;
   for (auction::UserId u = 0; u < subs.size(); ++u) {
-    if (u == winner || !eligible[u]) continue;
+    if (u == winner) continue;
     if (!second ||
         !backend.ge(subs[*second].channels[r], subs[u].channels[r])) {
       second = u;
@@ -147,21 +146,21 @@ class ChargingRunnerUp : public ::testing::TestWithParam<Combo> {
   /// every column with every third user as a stand-in winner.
   void expect_oracle_on_every_award(
       MaskedBidTable& table, const std::vector<core::BidSubmission>& subs,
-      const std::vector<bool>& eligible, std::uint64_t seed) {
+      std::uint64_t seed) {
     Rng rng(seed);
     const auction::ConflictGraph conflicts = random_conflicts(subs.size(), rng);
     const auto awards = auction::greedy_allocate(table, conflicts, rng);
     ASSERT_FALSE(awards.empty());
     for (const auto& a : awards) {
-      EXPECT_EQ(table.runner_up(a.channel, a.user, eligible),
-                oracle_runner_up(subs, *backend, a.channel, a.user, eligible))
+      EXPECT_EQ(table.runner_up(a.channel, a.user),
+                oracle_runner_up(subs, *backend, a.channel, a.user))
           << "award u" << a.user << " c" << a.channel;
     }
     // A fully consumed table still answers: presence never filters.
     for (std::size_t r = 0; r < table.num_channels(); ++r) {
       for (auction::UserId w = 0; w < subs.size(); w += 3) {
-        EXPECT_EQ(table.runner_up(r, w, eligible),
-                  oracle_runner_up(subs, *backend, r, w, eligible))
+        EXPECT_EQ(table.runner_up(r, w),
+                  oracle_runner_up(subs, *backend, r, w))
             << "column " << r << " winner " << w;
       }
     }
@@ -173,26 +172,8 @@ TEST_P(ChargingRunnerUp, TieHeavyPopulationsMatchTheScan) {
     Rng rng(100 + levels);
     const auto subs = mask(ttp, draw_bids(24, 3, levels, rng), rng);
     auto table = make_table(subs, 3, strategy(), shards(), backend);
-    expect_oracle_on_every_award(*table, subs,
-                                 std::vector<bool>(subs.size(), true), levels);
+    expect_oracle_on_every_award(*table, subs, levels);
   }
-}
-
-TEST_P(ChargingRunnerUp, DeadChurnSlotsNeverPriceAWinner) {
-  Rng rng(202);
-  const auto subs = mask(ttp, draw_bids(28, 3, 6, rng), rng);
-  // Dead slots: tombstoned in the table (they cannot win) and cleared
-  // in the eligibility mask, so they must never price a winner either —
-  // the runner-up query otherwise counts consumed cells as rivals.
-  std::vector<bool> live(subs.size(), true);
-  auto table = make_table(subs, 3, strategy(), shards(), backend);
-  for (std::size_t u = 0; u < subs.size(); ++u) {
-    if (rng.below(3) == 0) {
-      live[u] = false;
-      table->remove_user(u);
-    }
-  }
-  expect_oracle_on_every_award(*table, subs, live, 7);
 }
 
 TEST_P(ChargingRunnerUp, TableRestoredMidAllocationMatchesTheScan) {
@@ -207,8 +188,7 @@ TEST_P(ChargingRunnerUp, TableRestoredMidAllocationMatchesTheScan) {
   }
   auto restored = restore_table(*table, strategy(), shards(), backend);
   EXPECT_EQ(restored->serialize(), table->serialize());
-  expect_oracle_on_every_award(*restored, subs,
-                               std::vector<bool>(subs.size(), true), 11);
+  expect_oracle_on_every_award(*restored, subs, 11);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -440,12 +420,34 @@ TEST(ChargingCost, ShardedTableMergesAtMostShardsMinusOnePerAward) {
   EXPECT_LE(ge, awards.size() * (kShards - 1));
 }
 
+TEST(ChargingEngine, AllocateAndChargeRejectsAClearedLiveBit) {
+  // No user can be excluded from pricing any more: the live mask must
+  // cover every submission with every bit set.
+  ChargingRig rig(12);
+  core::EncryptedBidTable table(rig.subs, 4);
+  std::vector<bool> live(rig.subs.size(), true);
+  live[5] = false;
+  Rng rng(3);
+  EXPECT_THROW(
+      rig.engine.allocate_and_charge(rig.subs, rig.conflicts, table, live, rng),
+      LppaError);
+  live.assign(rig.subs.size() - 1, true);
+  EXPECT_THROW(
+      rig.engine.allocate_and_charge(rig.subs, rig.conflicts, table, live, rng),
+      LppaError);
+  live.assign(rig.subs.size(), true);
+  EXPECT_FALSE(rig.engine
+                   .allocate_and_charge(rig.subs, rig.conflicts, table, live,
+                                        rng)
+                   .awards.empty());
+}
+
 TEST(ChargingByzantine, ForgedColumnCannotOverchargeAWinner) {
   // User 0's column-0 value family is the union of every family in the
   // column: it is >= everyone, yet only the users above its own range
   // floor are >= it — an intransitive (order-inconsistent) relation.
-  // The sort must stay defined, runner_up must still name an eligible
-  // rival, and the TTP's verification bounds every charge.
+  // The sort must stay defined, runner_up must still name a rival,
+  // and the TTP's verification bounds every charge.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     for (const auto strategy :
          {ArgmaxStrategy::kSortedColumns, ArgmaxStrategy::kTournamentScan}) {
@@ -467,7 +469,7 @@ TEST(ChargingByzantine, ForgedColumnCannotOverchargeAWinner) {
       for (const auto& a : round.awards) {
         EXPECT_LE(a.charge, rig.bids[a.user][a.channel])
             << "shards " << shards << " award u" << a.user;
-        const auto second = table->runner_up(a.channel, a.user, live);
+        const auto second = table->runner_up(a.channel, a.user);
         ASSERT_TRUE(second.has_value());
         EXPECT_NE(*second, a.user);
       }

@@ -191,8 +191,9 @@ TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
     // order in the masked domain, so the oracle checks the winner's
     // VALUE, not its identity — winner identity is pinned separately by
     // the four-way agreement between live/restored × sorted/scan.
-    const auto oracle_max = [&](std::size_t r) -> std::optional<long> {
-      std::optional<long> best;
+    const auto oracle_max =
+        [&](std::size_t r) -> std::optional<auction::Money> {
+      std::optional<auction::Money> best;
       for (std::size_t u = 0; u < n; ++u) {
         if (present[u][r] && (!best || bids[u][r] > *best)) best = bids[u][r];
       }
@@ -220,7 +221,7 @@ TEST_F(EncryptedTableTest, RemoveUserRestoreDifferentialUnderBothStrategies) {
           ASSERT_TRUE(present[*winner][r])
               << label << " scenario " << scenario << " column " << r
               << " crowned a tombstoned cell";
-          ASSERT_EQ(static_cast<long>(bids[*winner][r]), *best)
+          ASSERT_EQ(bids[*winner][r], *best)
               << label << " scenario " << scenario << " column " << r;
         }
       }

@@ -146,30 +146,41 @@ TEST_P(EndToEndInvariants, WireHarnessAlwaysMatchesInMemory) {
   for (int round = 0; round < 3; ++round) {
     World w = random_world(world_rng);
     const std::uint64_t ttp_seed = GetParam() * 7 + round;
-    for (const auto rule :
-         {core::ChargingRule::kFirstPrice, core::ChargingRule::kSecondPrice}) {
-      w.config.charging_rule = rule;
-      SCOPED_TRACE(::testing::Message()
-                   << "seed " << GetParam() << " round " << round << " rule "
-                   << static_cast<int>(rule));
-      std::vector<RoundOutcome> outcomes;
-      for (const Runner& runner : kRunners) {
-        SCOPED_TRACE(runner.name);
-        outcomes.push_back(runner.run(w, ttp_seed, GetParam() + round));
-        EXPECT_EQ(outcomes.back().awards, outcomes.front().awards);
+    // The engine and the session honour the same LppaConfig: thread and
+    // shard counts are where their table builds used to differ.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+        w.config.num_threads = threads;
+        w.config.num_shards = shards;
+        for (const auto rule : {core::ChargingRule::kFirstPrice,
+                                core::ChargingRule::kSecondPrice}) {
+          w.config.charging_rule = rule;
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << GetParam() << " round " << round
+                       << " threads " << threads << " shards " << shards
+                       << " rule " << static_cast<int>(rule));
+          std::vector<RoundOutcome> outcomes;
+          for (const Runner& runner : kRunners) {
+            SCOPED_TRACE(runner.name);
+            outcomes.push_back(runner.run(w, ttp_seed, GetParam() + round));
+            EXPECT_EQ(outcomes.back().awards, outcomes.front().awards);
+          }
+          const RoundOutcome& bus = outcomes[1];
+          const RoundOutcome& socket = outcomes[2];
+          EXPECT_FALSE(bus.announcement.empty());
+          EXPECT_EQ(socket.announcement, bus.announcement);
+          for (const RoundOutcome* wire : {&bus, &socket}) {
+            EXPECT_TRUE(wire->report.completed);
+            EXPECT_EQ(wire->report.survivors.size(), w.bids.size());
+            EXPECT_TRUE(wire->report.excluded.empty());
+            EXPECT_EQ(wire->report.charge_attempts,
+                      bus.awards.empty() ? 0u : 1u);
+          }
+          // The bus clock is logical: a clean round never needs a retry
+          // wave.
+          EXPECT_EQ(bus.report.retry_waves, 0u);
+        }
       }
-      const RoundOutcome& bus = outcomes[1];
-      const RoundOutcome& socket = outcomes[2];
-      EXPECT_FALSE(bus.announcement.empty());
-      EXPECT_EQ(socket.announcement, bus.announcement);
-      for (const RoundOutcome* wire : {&bus, &socket}) {
-        EXPECT_TRUE(wire->report.completed);
-        EXPECT_EQ(wire->report.survivors.size(), w.bids.size());
-        EXPECT_TRUE(wire->report.excluded.empty());
-        EXPECT_EQ(wire->report.charge_attempts, bus.awards.empty() ? 0u : 1u);
-      }
-      // The bus clock is logical: a clean round never needs a retry wave.
-      EXPECT_EQ(bus.report.retry_waves, 0u);
     }
   }
 }

@@ -305,7 +305,9 @@ TEST(ShardedBidTable, AnswersMatchSingleTableUnderRandomRemovals) {
         const auto a = single.argmax_in_column(r);
         const auto b = sharded.argmax_in_column(r);
         ASSERT_EQ(a.has_value(), b.has_value());
-        if (a) EXPECT_EQ(*a, *b);
+        if (a) {
+          EXPECT_EQ(*a, *b);
+        }
       }
       // Remove a random cell or user on both tables.
       const std::size_t u = removals.below(n);
