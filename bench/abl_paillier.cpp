@@ -11,14 +11,18 @@
 // counters at growing key sizes.
 //
 // Paillier runs at toy key sizes (n^2 must fit 64 bits); the primitive
-// table reports the measured scaling across sizes next to the wire
-// costs at the 2048-bit modulus [7] actually needs (ciphertext = 4096
-// bits).  JSON dump: BENCH_abl_paillier.json (passes
+// table reports the measured scaling across sizes, the per-pair compare
+// next to the prepared-column compare the bid-table sort runs, beside
+// the wire costs at the 2048-bit modulus [7] actually needs
+// (ciphertext = 4096 bits).  JSON dump: BENCH_abl_paillier.json (passes
 // tools/bench_compare.py --validate).
 #include <chrono>
 #include <fstream>
+#include <memory>
+#include <vector>
 
 #include "bench_util.h"
+#include "core/bid_backend.h"
 #include "core/lppa_auction.h"
 #include "crypto/paillier.h"
 
@@ -47,6 +51,7 @@ struct PrimitiveRow {
   double encrypt_us = 0.0;
   double decrypt_us = 0.0;
   double compare_us = 0.0;
+  double prepared_compare_us = 0.0;  ///< oracle compare, column prepared
 };
 
 struct HeadToHeadCell {
@@ -156,6 +161,7 @@ void write_json(const std::string& path,
         .field("encrypt_us", p.encrypt_us)
         .field("decrypt_us", p.decrypt_us)
         .field("compare_us", p.compare_us)
+        .field("prepared_compare_us", p.prepared_compare_us)
         .end_object();
   }
   w.end_array();
@@ -192,7 +198,7 @@ int main(int argc, char** argv) {
   std::vector<PrimitiveRow> primitives;
   {
     Table table({"prime_bits", "ct_bits", "encrypt_us", "decrypt_us",
-                 "compare_us(hom+dec)"});
+                 "compare_us(hom+dec)", "prepared_compare_us"});
     for (int bits : {8, 12, 16}) {
       const auto keys = crypto::paillier_keygen(bits, rng);
       std::uint64_t sink = 0;
@@ -216,12 +222,28 @@ int main(int argc, char** argv) {
             keys.pub.scale(diff, 1 + (i % 97));
         sink ^= keys.priv.decrypt(blinded, keys.pub);
       });
+      // The bid-table sort's compare: the oracle's blinded compare on a
+      // column prepared once (Montgomery forms and negations), outside
+      // the timer, as a sort prepares each column once.
+      const auto oracle = std::make_shared<const crypto::PaillierCompareOracle>(
+          keys, /*scaled_max=*/1);
+      const crypto::PaillierBackend backend(keys.pub, oracle);
+      std::vector<core::ChannelBidSubmission> cells(cts.size());
+      std::vector<const core::ChannelBidSubmission*> column;
+      for (std::size_t i = 0; i < cts.size(); ++i) {
+        cells[i].paillier_ct = cts[i];
+        column.push_back(&cells[i]);
+      }
+      const auto prepared = backend.prepare_column(column);
+      const double prep_us = time_per_op_us(iters, [&](std::size_t i) {
+        sink ^= prepared->ge(i % cts.size(), (i + 1) % cts.size()) ? 1 : 2;
+      });
       table.add_row({Table::cell(bits),
                      Table::cell(keys.pub.ciphertext_bits()),
                      Table::cell(enc_us, 2), Table::cell(dec_us, 2),
-                     Table::cell(cmp_us, 2)});
+                     Table::cell(cmp_us, 2), Table::cell(prep_us, 2)});
       primitives.push_back({bits, keys.pub.ciphertext_bits(), enc_us, dec_us,
-                            cmp_us});
+                            cmp_us, prep_us});
       if (sink == 0xdeadbeef) std::cout << "";  // keep the sink alive
     }
     bench::emit(table, args,

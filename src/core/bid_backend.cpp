@@ -1,5 +1,7 @@
 #include "core/bid_backend.h"
 
+#include <vector>
+
 #include "common/error.h"
 #include "core/ppbs_bid.h"
 #include "prefix/prefix.h"
@@ -71,28 +73,87 @@ std::uint64_t PaillierCompareOracle::decrypt(std::uint64_t ct) const {
   return keys_.priv.decrypt(ct, keys_.pub);
 }
 
-bool PaillierCompareOracle::ge(std::uint64_t ct_a, std::uint64_t ct_b) const {
-  compares_.fetch_add(1, std::memory_order_relaxed);
+std::uint64_t PaillierCompareOracle::to_mont(std::uint64_t ct) const noexcept {
+  return keys_.pub.mont.to_mont(keys_.pub.reduced(ct));
+}
+
+std::uint64_t PaillierCompareOracle::negation(
+    std::uint64_t ct_mont) const noexcept {
+  // Scaling by n-1 is homomorphic negation: E(b)^(n-1) = E(-b).
+  return keys_.pub.mont.pow(ct_mont, keys_.pub.n - 1);
+}
+
+bool PaillierCompareOracle::blinded_ge(std::uint64_t ct_a,
+                                       std::uint64_t a_mont,
+                                       std::uint64_t ct_b,
+                                       std::uint64_t neg_b_mont) const {
   const PaillierPublicKey& pub = keys_.pub;
-  // E(a - b) = E(a) * E(b)^(n-1): scaling by n-1 is homomorphic negation.
-  const std::uint64_t diff = pub.add(ct_a, pub.scale(ct_b, pub.n - 1));
+  // E(a - b) = E(a) * E(-b), public-key operations only.
+  const std::uint64_t diff = pub.mont.mul(a_mont, neg_b_mont);
   // Multiplicative blind before decryption, derived from the ciphertext
   // pair so replays of the same query are deterministic.  What the
   // decryptor learns is k*(a-b), i.e. the sign and a blinded magnitude —
   // the standard blinded-comparison leakage model.
   const std::uint64_t k = 1 + ((ct_a ^ ct_b) & 63u);
-  const std::uint64_t plain = keys_.priv.decrypt(pub.scale(diff, k), pub);
+  const std::uint64_t plain =
+      keys_.priv.decrypt_mont(pub.mont.pow(diff, k), pub);
   // a >= b  ⇒  plain = k*(a-b) <= 64*scaled_max < n/2;
   // a <  b  ⇒  plain = n - k*(b-a) > n/2.
   return plain <= pub.n / 2;
 }
+
+bool PaillierCompareOracle::ge(std::uint64_t ct_a, std::uint64_t ct_b) const {
+  compares_.fetch_add(1, std::memory_order_relaxed);
+  return blinded_ge(ct_a, to_mont(ct_a), ct_b, negation(to_mont(ct_b)));
+}
+
+/// The Paillier prepared column: every cell's Montgomery form and
+/// negation computed once, so a compare is one multiply, the blind and
+/// the decryption.  Compares are counted locally and added to the
+/// oracle's counter once, when the column is destroyed (also on unwind,
+/// so a compare that throws is still counted, as ge() counts it).
+class PaillierPreparedColumn final : public PreparedColumn {
+ public:
+  PaillierPreparedColumn(
+      const PaillierCompareOracle& oracle,
+      std::span<const core::ChannelBidSubmission* const> cells)
+      : oracle_(oracle) {
+    cells_.reserve(cells.size());
+    for (const core::ChannelBidSubmission* cell : cells) {
+      const std::uint64_t mont = oracle_.to_mont(cell->paillier_ct);
+      cells_.push_back({cell->paillier_ct, mont, oracle_.negation(mont)});
+    }
+  }
+  ~PaillierPreparedColumn() override {
+    oracle_.compares_.fetch_add(compares_, std::memory_order_relaxed);
+  }
+
+  bool ge(std::size_t i, std::size_t j) override {
+    ++compares_;
+    const Cell& a = cells_[i];
+    const Cell& b = cells_[j];
+    return oracle_.blinded_ge(a.ct, a.mont, b.ct, b.neg_mont);
+  }
+
+ private:
+  struct Cell {
+    std::uint64_t ct = 0;        ///< as submitted: the blind derives from it
+    std::uint64_t mont = 0;      ///< Montgomery form, as the left operand
+    std::uint64_t neg_mont = 0;  ///< E(-b), Montgomery form, as the right
+  };
+
+  const PaillierCompareOracle& oracle_;
+  std::vector<Cell> cells_;
+  std::size_t compares_ = 0;
+};
 
 // ------------------------------------------------------------ paillier
 
 PaillierBackend::PaillierBackend(
     PaillierPublicKey pub, std::shared_ptr<const PaillierCompareOracle> oracle)
     : pub_(pub), oracle_(std::move(oracle)) {
-  LPPA_REQUIRE(pub_.n > 0 && pub_.n_squared == pub_.n * pub_.n,
+  LPPA_REQUIRE(pub_.n > 0 && pub_.n_squared == pub_.n * pub_.n &&
+                   pub_.mont.m == pub_.n_squared,
                "malformed Paillier public key");
 }
 
@@ -110,6 +171,12 @@ bool PaillierBackend::ge(const core::ChannelBidSubmission& a,
                         "this backend instance is encode-only");
   }
   return oracle_->ge(a.paillier_ct, b.paillier_ct);
+}
+
+std::unique_ptr<PreparedColumn> PaillierBackend::prepare_column(
+    std::span<const core::ChannelBidSubmission* const> cells) const {
+  if (oracle_ == nullptr) return nullptr;
+  return std::make_unique<PaillierPreparedColumn>(*oracle_, cells);
 }
 
 std::optional<std::string> PaillierBackend::validate_cell(

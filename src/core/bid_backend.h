@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -69,6 +70,20 @@ struct BidEncodeCtx {
   bool pad_range_sets = false;
 };
 
+/// Order tests over one channel column, prepared once for the many
+/// comparisons a sort makes (BidBackend::prepare_column).  Per-task
+/// state: one thread drives a column.
+class PreparedColumn {
+ public:
+  PreparedColumn() = default;
+  PreparedColumn(const PreparedColumn&) = delete;
+  PreparedColumn& operator=(const PreparedColumn&) = delete;
+  virtual ~PreparedColumn() = default;
+
+  /// The preparing backend's ge(*cells[i], *cells[j]).
+  virtual bool ge(std::size_t i, std::size_t j) = 0;
+};
+
 /// The vtable.  Implementations are stateless or immutable after
 /// construction and safe for concurrent use (the Paillier oracle keeps
 /// its op counters in atomics).
@@ -93,6 +108,20 @@ class BidBackend {
   virtual bool ge(const core::ChannelBidSubmission& a,
                   const core::ChannelBidSubmission& b) const = 0;
 
+  /// Prepares one column of cells for repeated order tests; the bid
+  /// table sorts through the result instead of calling ge() per pair.
+  /// Null (the default) means "call ge() per pair", so a backend that
+  /// only overrides ge() keeps working unchanged.  Contract: the
+  /// column's ge(i, j) answers exactly ge(*cells[i], *cells[j]) and
+  /// throws what it would throw; once the column is destroyed, every
+  /// counter ge() advances has advanced by the same count; and it
+  /// reveals nothing ge() does not.  `cells` must outlive the column.
+  virtual std::unique_ptr<PreparedColumn> prepare_column(
+      std::span<const core::ChannelBidSubmission* const> cells) const {
+    (void)cells;
+    return nullptr;
+  }
+
   /// Structural validation of one cell's masked representation; nullopt
   /// when well-formed.  The HMAC backend returns nullopt — its prefix
   /// family/range checks predate this interface and stay verbatim in
@@ -110,6 +139,8 @@ inline const BidBackend& resolve_backend(const BidBackend* backend) noexcept {
   return backend != nullptr ? *backend : hmac_backend();
 }
 
+class PaillierPreparedColumn;
+
 /// The TTP-held comparison oracle of the Paillier tier: answers a >= b
 /// over ciphertexts by decrypting a multiplicatively blinded difference
 /// (a stand-in for the interactive comparison subprotocol of [7]; the
@@ -126,7 +157,8 @@ class PaillierCompareOracle {
 
   /// a >= b over ciphertexts.  Deterministic for a given ciphertext pair
   /// (the blinding factor derives from the ciphertexts), so repeated
-  /// queries — e.g. a recovery replaying an allocation — agree.
+  /// queries — e.g. a recovery replaying an allocation — agree.  Runs
+  /// the prepared columns' compare on two freshly prepared operands.
   bool ge(std::uint64_t ct_a, std::uint64_t ct_b) const;
 
   /// Plain decryption (charging verification path).
@@ -144,6 +176,19 @@ class PaillierCompareOracle {
   }
 
  private:
+  friend class PaillierPreparedColumn;  ///< batches its compares count
+
+  /// ct (reduced mod n^2) in Montgomery form.
+  std::uint64_t to_mont(std::uint64_t ct) const noexcept;
+  /// E(-b) = E(b)^(n-1), Montgomery form in and out: homomorphic
+  /// negation, the operand's share of every compare it is the right of.
+  std::uint64_t negation(std::uint64_t ct_mont) const noexcept;
+  /// The blinded compare a >= b from a's ciphertext and Montgomery form
+  /// and b's ciphertext and Montgomery-form negation.  Counts nothing:
+  /// callers add to compares_.
+  bool blinded_ge(std::uint64_t ct_a, std::uint64_t a_mont,
+                  std::uint64_t ct_b, std::uint64_t neg_b_mont) const;
+
   PaillierKeyPair keys_;
   std::uint64_t scaled_max_ = 0;
   mutable std::atomic<std::size_t> compares_{0};
@@ -165,6 +210,12 @@ class PaillierBackend final : public BidBackend {
                    std::uint64_t scaled, Rng& rng) const override;
   bool ge(const core::ChannelBidSubmission& a,
           const core::ChannelBidSubmission& b) const override;
+  /// Each cell's ciphertext in Montgomery form and its negation, once
+  /// per column (~24 B a cell); null without the oracle, so ge() raises
+  /// its kState error at the first compare exactly as before.
+  std::unique_ptr<PreparedColumn> prepare_column(
+      std::span<const core::ChannelBidSubmission* const> cells)
+      const override;
   std::optional<std::string> validate_cell(
       const core::ChannelBidSubmission& cell) const override;
 

@@ -100,12 +100,23 @@ void EncryptedBidTable::build_column_orders(std::size_t sort_threads) {
   parallel_for(channels_, sort_threads, [&](std::size_t r) {
     auto& ord = order_[r];
     ord.resize(users_);
+    std::vector<const ChannelBidSubmission*> cells(users_);
     for (std::size_t u = 0; u < users_; ++u) {
       ord[u] = static_cast<std::uint32_t>(u);
+      cells[u] = &sub(u).channels[r];
+    }
+    // A backend that prepares columns answers the same comparator calls
+    // in the same sequence, so the order is the same bits either way.
+    const auto prepared = backend_->prepare_column(cells);
+    if (prepared) {
+      stable_merge_sort(ord, [&](std::uint32_t u, std::uint32_t v) {
+        return !prepared->ge(v, u);
+      });
+      return;
     }
     stable_merge_sort(ord, [&](std::uint32_t u, std::uint32_t v) {
       // u strictly greater than v in the masked order:  NOT (v >= u).
-      return !backend_->ge(sub(v).channels[r], sub(u).channels[r]);
+      return !backend_->ge(*cells[v], *cells[u]);
     });
   });
 }

@@ -140,11 +140,15 @@ std::unique_ptr<MaskedBidTable> make_bid_table(
 
 std::unique_ptr<MaskedBidTable> restore_bid_table(
     std::span<const std::uint8_t> image, const LppaConfig& config) {
-  EncryptedBidTable global = EncryptedBidTable::deserialize(
-      image, config.argmax_strategy, config.num_threads, config.backend);
   if (config.num_shards <= 1) {
-    return std::make_unique<EncryptedBidTable>(std::move(global));
+    return std::make_unique<EncryptedBidTable>(EncryptedBidTable::deserialize(
+        image, config.argmax_strategy, config.num_threads, config.backend));
   }
+  // The shards sort their own columns, so the global image is parsed
+  // under the strategy that builds no orders: each column sorts once.
+  EncryptedBidTable global = EncryptedBidTable::deserialize(
+      image, ArgmaxStrategy::kTournamentScan, config.num_threads,
+      config.backend);
   const std::size_t n = global.num_users();
   return std::make_unique<ShardedBidTable>(ShardedBidTable::restore(
       std::move(global),

@@ -22,6 +22,32 @@ std::uint64_t paillier_l(std::uint64_t x, std::uint64_t n) {
 
 }  // namespace
 
+Montgomery64 Montgomery64::for_modulus(std::uint64_t m) {
+  LPPA_REQUIRE(m > 1 && (m & 1) != 0,
+               "Montgomery modulus must be odd and above 1");
+  Montgomery64 ctx;
+  ctx.m = m;
+  // Newton iteration for m^-1 mod 2^64: m is its own inverse mod 8, and
+  // each step doubles the number of correct low bits (3 -> 96).
+  std::uint64_t inv = m;
+  for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;
+  ctx.m_inv = inv;
+  ctx.one = (0 - m) % m;  // 2^64 mod m
+  ctx.r2 = mulmod_u64(ctx.one, ctx.one, m);
+  return ctx;
+}
+
+std::uint64_t Montgomery64::pow(std::uint64_t x,
+                                std::uint64_t e) const noexcept {
+  std::uint64_t result = one;
+  while (e != 0) {
+    if (e & 1) result = mul(result, x);
+    x = mul(x, x);
+    e >>= 1;
+  }
+  return result;
+}
+
 std::uint64_t modpow_u64(std::uint64_t x, std::uint64_t e, std::uint64_t m) {
   LPPA_REQUIRE(m != 0, "modulus must be non-zero");
   std::uint64_t result = 1 % m;
@@ -107,23 +133,27 @@ std::uint64_t PaillierPublicKey::encrypt(std::uint64_t plaintext,
   do {
     r = 1 + rng.below(n - 1);
   } while (std::gcd(r, n) != 1);
-  // (n+1)^m mod n^2 == 1 + m*n (binomial), computed directly.  The
-  // plaintext is NOT reduced mod n here: an out-of-range value must be
-  // the typed rejection above, never a silent wrap-around that encrypts
-  // a different number than the caller handed in.
-  const std::uint64_t g_m =
-      (1 + mulmod_u64(plaintext, n, n_squared)) % n_squared;
-  const std::uint64_t r_n = modpow_u64(r, n, n_squared);
-  return mulmod_u64(g_m, r_n, n_squared);
+  // (n+1)^m mod n^2 == 1 + m*n (binomial), computed directly; it stays
+  // below n^2 because m < n.  The plaintext is NOT reduced mod n here:
+  // an out-of-range value must be the typed rejection above, never a
+  // silent wrap-around that encrypts a different number than the caller
+  // handed in.
+  const std::uint64_t g_m = 1 + plaintext * n;
+  const std::uint64_t r_n = mont.pow(mont.to_mont(r), n);
+  return mont.mul(g_m, r_n);  // plain times Montgomery form: plain
+}
+
+std::uint64_t PaillierPublicKey::reduced(std::uint64_t c) const noexcept {
+  return c < n_squared ? c : c % n_squared;
 }
 
 std::uint64_t PaillierPublicKey::add(std::uint64_t c1, std::uint64_t c2) const {
-  return mulmod_u64(c1, c2, n_squared);
+  return mont.mul(mont.to_mont(reduced(c1)), reduced(c2));
 }
 
 std::uint64_t PaillierPublicKey::scale(std::uint64_t c,
                                        std::uint64_t k) const {
-  return modpow_u64(c, k, n_squared);
+  return mont.from_mont(mont.pow(mont.to_mont(reduced(c)), k));
 }
 
 int PaillierPublicKey::ciphertext_bits() const noexcept {
@@ -133,7 +163,13 @@ int PaillierPublicKey::ciphertext_bits() const noexcept {
 std::uint64_t PaillierPrivateKey::decrypt(
     std::uint64_t ciphertext, const PaillierPublicKey& pub) const {
   LPPA_REQUIRE(ciphertext < pub.n_squared, "ciphertext out of range");
-  const std::uint64_t x = modpow_u64(ciphertext, lambda, pub.n_squared);
+  return decrypt_mont(pub.mont.to_mont(ciphertext), pub);
+}
+
+std::uint64_t PaillierPrivateKey::decrypt_mont(
+    std::uint64_t ciphertext_mont, const PaillierPublicKey& pub) const {
+  const std::uint64_t x =
+      pub.mont.from_mont(pub.mont.pow(ciphertext_mont, lambda));
   return mulmod_u64(paillier_l(x, pub.n), mu, pub.n);
 }
 
@@ -152,6 +188,7 @@ PaillierKeyPair paillier_keygen(int prime_bits, Rng& rng) {
     PaillierKeyPair keys;
     keys.pub.n = n;
     keys.pub.n_squared = n * n;
+    keys.pub.mont = Montgomery64::for_modulus(keys.pub.n_squared);
     keys.priv.lambda = lambda;
     // mu = L((n+1)^lambda mod n^2)^-1 mod n; with g = n+1 this is
     // L(1 + lambda*n) = lambda mod n.

@@ -12,8 +12,12 @@
 //   3. Snapshot images are backend-tagged: restoring across backends is
 //      a typed kProtocol rejection in both directions, at the table
 //      layer and through the wire session.
+//   4. A prepared column (BidBackend::prepare_column) is invisible: the
+//      Paillier orders, compare counts and errors equal those of the
+//      per-pair ge() path, and a fixed-seed Paillier round is pinned.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <optional>
 #include <set>
@@ -178,6 +182,47 @@ TEST(HmacGolden, SessionDigestsMatchSeedCapture) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
       const SessionRun run = run_session(
           w, rule, shards, crypto::BidBackendId::kHmacPrefix);
+      EXPECT_EQ(hex(run.snapshot), g.snap)
+          << "rule=" << static_cast<int>(rule) << " shards=" << shards;
+      EXPECT_EQ(hex(run.announcement), g.ann)
+          << "rule=" << static_cast<int>(rule) << " shards=" << shards;
+    }
+  }
+}
+
+// Fixed-seed Paillier rounds: the engine digest (every masked bid plus
+// awards and charges) and the wire session's snapshot (bid-table image
+// after charging) and announcement, captured before the Montgomery
+// arithmetic and the prepared-column sort landed.  Exact arithmetic and
+// an unchanged comparator sequence must leave every byte as it was.
+TEST(PaillierGolden, RoundDigestsMatchCapture) {
+  const World w = make_world(24, 3, 41);
+  struct Golden {
+    std::string run;
+    std::string snap;
+    std::string ann;
+  };
+  const std::map<core::ChargingRule, Golden> golden = {
+      {core::ChargingRule::kFirstPrice,
+       {"e39a9a241270bbb873d537c2809ef9f1f652ce72c2c7d32fa1dc215f42e2956d",
+        "7e852824eca06468e60ea4b3165db3e2aafd31647fc00b437fa7e1b33d46ed3e",
+        "460a19270cf1ef7e25b3c67376d07aa8ba4659e90fc93371bf8032e1092bb6bf"}},
+      {core::ChargingRule::kSecondPrice,
+       {"7a217e75869719c306d08eabba3352c110e3c577b1cbf8a9f3aeebb3366c1c17",
+        "bb5548c7b6e2183dfbd33671cb07c6b558aaee6b678f121c0c14e45eee2f54eb",
+        "f6fc81b7e1618776a2773e59c69cc9279b68de93837bf25de877c9b1e8410f2a"}},
+  };
+  for (const auto& [rule, g] : golden) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        const auto out = run_engine(w, rule, shards, threads,
+                                    crypto::BidBackendId::kPaillier);
+        EXPECT_EQ(run_digest(out), g.run)
+            << "rule=" << static_cast<int>(rule) << " shards=" << shards
+            << " threads=" << threads;
+      }
+      const SessionRun run =
+          run_session(w, rule, shards, crypto::BidBackendId::kPaillier);
       EXPECT_EQ(hex(run.snapshot), g.snap)
           << "rule=" << static_cast<int>(rule) << " shards=" << shards;
       EXPECT_EQ(hex(run.announcement), g.ann)
@@ -581,6 +626,205 @@ TEST(PaillierValidator, RejectsHmacShapedCellsAndDegenerateCiphertexts) {
   const auto zero_ct = validator.validate_bid(degenerate);
   ASSERT_TRUE(zero_ct.has_value());
   EXPECT_NE(zero_ct->find("Z*_{n^2}"), std::string::npos) << *zero_ct;
+}
+
+// ---------------------------------------------------------------------------
+// 8. The prepared column: Paillier sorts through prepare_column; a
+//    forwarding backend that overrides only ge() forces the per-pair
+//    path.  Both must build the same orders and count the same compares,
+//    also on Byzantine columns and on restored and sharded tables.
+// ---------------------------------------------------------------------------
+
+/// Forwards every hook except prepare_column and counts ge() calls.
+class PerPairBackend final : public crypto::BidBackend {
+ public:
+  explicit PerPairBackend(const crypto::BidBackend& inner) : inner_(inner) {}
+
+  crypto::BidBackendId id() const noexcept override { return inner_.id(); }
+  const char* name() const noexcept override { return inner_.name(); }
+  void encode_cell(core::ChannelBidSubmission& cell,
+                   const crypto::BidEncodeCtx& ctx, std::uint64_t scaled,
+                   Rng& rng) const override {
+    inner_.encode_cell(cell, ctx, scaled, rng);
+  }
+  bool ge(const core::ChannelBidSubmission& a,
+          const core::ChannelBidSubmission& b) const override {
+    ge_calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.ge(a, b);
+  }
+  std::optional<std::string> validate_cell(
+      const core::ChannelBidSubmission& cell) const override {
+    return inner_.validate_cell(cell);
+  }
+
+  std::size_t ge_calls() const noexcept {
+    return ge_calls_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  const crypto::BidBackend& inner_;
+  mutable std::atomic<std::size_t> ge_calls_{0};
+};
+
+/// Every column's runner-up for every winner, then its drain order
+/// (argmax, remove, repeat): a function of the column orders and of ge().
+std::vector<std::optional<auction::UserId>> table_answers(
+    core::MaskedBidTable& t) {
+  std::vector<std::optional<auction::UserId>> out;
+  for (std::size_t r = 0; r < t.num_channels(); ++r) {
+    for (std::size_t u = 0; u < t.num_users(); ++u) {
+      out.push_back(t.runner_up(r, u));
+    }
+  }
+  for (std::size_t r = 0; r < t.num_channels(); ++r) {
+    while (const auto top = t.argmax_in_column(r)) {
+      out.push_back(top);
+      t.remove(*top, r);
+    }
+    out.push_back(std::nullopt);
+  }
+  return out;
+}
+
+struct PreparedFixture {
+  static constexpr std::size_t kUsers = 20;
+  static constexpr std::size_t kChannels = 3;
+
+  core::LppaConfig cfg =
+      make_config(kChannels, crypto::BidBackendId::kPaillier);
+  core::TrustedThirdParty ttp{cfg.bid, kTtpSeed};
+  const crypto::PaillierCompareOracle& oracle = *ttp.paillier_oracle();
+  PerPairBackend per_pair{ttp.bid_backend()};
+  std::vector<core::BidSubmission> subs =
+      make_submissions(ttp, kUsers, kChannels, 17);
+
+  PreparedFixture() {
+    const auto& pub = oracle.pub();
+    Rng rng(99);
+    // Duplicate ciphertexts (16 bid values over 20 users already give
+    // duplicate plaintexts).
+    subs[5].channels[0].paillier_ct = subs[2].channels[0].paillier_ct;
+    subs[11].channels[2].paillier_ct = subs[4].channels[2].paillier_ct;
+    // A Byzantine cell near n/2: its blinded differences wrap, so the
+    // relation on column 1 stops being a preorder.  Near n/2 the answer
+    // follows only the parity of the blind k; a cell near n/5 makes it
+    // follow k's magnitude too.
+    subs[7].channels[1].paillier_ct = pub.encrypt(pub.n / 2, rng);
+    subs[13].channels[2].paillier_ct = pub.encrypt(pub.n / 5, rng);
+  }
+
+  core::LppaConfig config(const crypto::BidBackend& backend,
+                          std::size_t threads, std::size_t shards) const {
+    core::LppaConfig c = cfg;
+    c.backend = &backend;
+    c.num_threads = threads;
+    c.num_shards = shards;
+    return c;
+  }
+};
+
+TEST(PaillierPreparedColumn, ByzantineCellMakesTheRelationInconsistent) {
+  PreparedFixture f;
+  // The blind k flips the near-n/2 cell's answers from pair to pair, so
+  // some honest c >= b has byz >= c but not byz >= b: a broken chain.
+  const std::uint64_t byz = f.subs[7].channels[1].paillier_ct;
+  std::size_t broken = 0;
+  for (const auto& sb : f.subs) {
+    for (const auto& sc : f.subs) {
+      const std::uint64_t b = sb.channels[1].paillier_ct;
+      const std::uint64_t c = sc.channels[1].paillier_ct;
+      if (b == byz || c == byz) continue;
+      if (f.oracle.ge(byz, c) && f.oracle.ge(c, b) && !f.oracle.ge(byz, b)) {
+        ++broken;
+      }
+    }
+  }
+  EXPECT_GT(broken, 0u) << "the Byzantine column must not be a preorder";
+}
+
+TEST(PaillierPreparedColumn, OrdersAndComparesMatchThePerPairPath) {
+  PreparedFixture f;
+  const crypto::BidBackend& prepared = f.ttp.bid_backend();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
+                   std::to_string(shards));
+      std::size_t before = f.oracle.compares();
+      auto fast = core::make_bid_table(f.subs, f.config(prepared, threads,
+                                                        shards));
+      const std::size_t fast_compares = f.oracle.compares() - before;
+      before = f.oracle.compares();
+      auto slow = core::make_bid_table(
+          f.subs, f.config(f.per_pair, threads, shards));
+      EXPECT_EQ(f.oracle.compares() - before, fast_compares);
+      EXPECT_GT(fast_compares, 0u);
+
+      // Restored twins, from an image taken after some allocation.
+      fast->remove(0, 0);
+      fast->remove_user(3);
+      const Bytes image = fast->serialize();
+      before = f.oracle.compares();
+      auto fast_restored = core::restore_bid_table(
+          image, f.config(prepared, threads, shards));
+      const std::size_t restore_compares = f.oracle.compares() - before;
+      before = f.oracle.compares();
+      auto slow_restored = core::restore_bid_table(
+          image, f.config(f.per_pair, threads, shards));
+      EXPECT_EQ(f.oracle.compares() - before, restore_compares);
+      EXPECT_EQ(restore_compares, fast_compares);
+
+      slow->remove(0, 0);
+      slow->remove_user(3);
+      EXPECT_EQ(table_answers(*fast), table_answers(*slow));
+      EXPECT_EQ(table_answers(*fast_restored), table_answers(*slow_restored));
+    }
+  }
+}
+
+TEST(PaillierPreparedColumn, ForgedCiphertextThrowsTheSameKind) {
+  PreparedFixture f;
+  // n is inside validate_cell's range but not a unit mod n^2, so L() is
+  // undefined on every blinded difference it enters.
+  f.subs[9].channels[2].paillier_ct = f.oracle.pub().n;
+  struct Outcome {
+    bool threw = false;
+    ErrorKind kind = ErrorKind::kInvalidArgument;
+    std::size_t compares = 0;
+  };
+  const auto build = [&](const crypto::BidBackend& backend) {
+    Outcome out;
+    const std::size_t before = f.oracle.compares();
+    try {
+      (void)core::make_bid_table(f.subs, f.config(backend, 1, 1));
+    } catch (const LppaError& e) {
+      out.threw = true;
+      out.kind = e.kind();
+    }
+    out.compares = f.oracle.compares() - before;
+    return out;
+  };
+  const Outcome fast = build(f.ttp.bid_backend());
+  const Outcome slow = build(f.per_pair);
+  ASSERT_TRUE(fast.threw);
+  ASSERT_TRUE(slow.threw);
+  EXPECT_EQ(fast.kind, slow.kind);
+  EXPECT_EQ(fast.compares, slow.compares);
+}
+
+TEST(ShardedRestore, SortsEachColumnOnce) {
+  core::LppaConfig cfg = make_config(3);
+  core::TrustedThirdParty ttp(cfg.bid, kTtpSeed);
+  const PerPairBackend counting(crypto::hmac_backend());
+  cfg.backend = &counting;
+  cfg.num_shards = 3;
+  const auto subs = make_submissions(ttp, 30, 3, 9);
+  const auto fresh = core::make_bid_table(subs, cfg);
+  const std::size_t fresh_calls = counting.ge_calls();
+  ASSERT_GT(fresh_calls, 0u);
+  const Bytes image = fresh->serialize();
+  const auto restored = core::restore_bid_table(image, cfg);
+  EXPECT_EQ(counting.ge_calls() - fresh_calls, fresh_calls);
+  EXPECT_EQ(restored->serialize(), image);
 }
 
 }  // namespace

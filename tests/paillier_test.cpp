@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
+#include <string>
+#include <vector>
 
 namespace lppa::crypto {
 namespace {
@@ -134,6 +137,120 @@ TEST(PaillierKeygen, PrimeBitsBoundsAreTyped) {
       EXPECT_EQ(e.kind(), ErrorKind::kInvalidArgument) << bits;
     }
   }
+}
+
+// --- Montgomery arithmetic against the __int128 reference -----------------
+
+std::uint64_t ref_mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
+  return static_cast<std::uint64_t>((static_cast<__uint128_t>(a) * b) % m);
+}
+
+/// Textbook decryption with modpow_u64; nullopt where L(x) is undefined
+/// (the Montgomery path must throw there).
+std::optional<std::uint64_t> ref_decrypt(const PaillierKeyPair& keys,
+                                         std::uint64_t c) {
+  const std::uint64_t n = keys.pub.n;
+  const std::uint64_t x = modpow_u64(c, keys.priv.lambda, keys.pub.n_squared);
+  if (x == 0 || (x - 1) % n != 0) return std::nullopt;
+  return ref_mulmod((x - 1) / n, keys.priv.mu, n);
+}
+
+/// encrypt/add/scale/decrypt on `keys` equal the __int128 formulas on
+/// edge operands (0, 1, n^2 - 1, out-of-range words), edge exponents
+/// (0, 1, n - 1, 2^64 - 1) and random ones.
+void expect_matches_reference(const PaillierKeyPair& keys, Rng& rng) {
+  const PaillierPublicKey& pub = keys.pub;
+  const std::uint64_t nn = pub.n_squared;
+  std::vector<std::uint64_t> operands = {0, 1, 2, nn - 1, nn - 2};
+  for (const std::uint64_t m : {std::uint64_t{0}, std::uint64_t{1},
+                                pub.n - 1, pub.n / 2}) {
+    // Same r draws as encrypt(): a copy of the stream replays them.
+    Rng replay = rng;
+    std::uint64_t r = 0;
+    do {
+      r = 1 + replay.below(pub.n - 1);
+    } while (std::gcd(r, pub.n) != 1);
+    const std::uint64_t expected =
+        ref_mulmod(1 + m * pub.n, modpow_u64(r, pub.n, nn), nn);
+    const std::uint64_t c = pub.encrypt(m, rng);
+    EXPECT_EQ(c, expected) << "encrypt m=" << m << " n=" << pub.n;
+    operands.push_back(c);
+  }
+  for (int i = 0; i < 8; ++i) operands.push_back(rng.below(nn));
+  const std::vector<std::uint64_t> exponents = {
+      0, 1, 2, pub.n - 1, keys.priv.lambda, ~std::uint64_t{0},
+      rng.below(pub.n), rng.next()};
+  for (const std::uint64_t a : operands) {
+    for (const std::uint64_t b : operands) {
+      EXPECT_EQ(pub.add(a, b), ref_mulmod(a, b, nn)) << a << " * " << b;
+    }
+    for (const std::uint64_t e : exponents) {
+      EXPECT_EQ(pub.scale(a, e), modpow_u64(a, e, nn)) << a << " ^ " << e;
+    }
+    const auto expected = ref_decrypt(keys, a);
+    if (expected.has_value()) {
+      EXPECT_EQ(keys.priv.decrypt(a, pub), *expected) << "decrypt " << a;
+    } else {
+      EXPECT_THROW(keys.priv.decrypt(a, pub), LppaError) << "decrypt " << a;
+    }
+  }
+  // Words at or above n^2 reduce first, as the plain product does.
+  const std::uint64_t big = ~std::uint64_t{0};
+  EXPECT_EQ(pub.add(big, nn + 3), ref_mulmod(big % nn, 3, nn));
+  EXPECT_EQ(pub.scale(big, 5), modpow_u64(big, 5, nn));
+}
+
+TEST(PaillierMontgomery, ContextMatchesInt128NearTwoTo64) {
+  Rng rng(64);
+  for (const std::uint64_t m :
+       {std::uint64_t{3}, std::uint64_t{143} * 143,
+        (std::uint64_t{1} << 63) + 1,
+        std::uint64_t{18446744073709551557ULL} /* prime */,
+        ~std::uint64_t{0}}) {
+    const Montgomery64 ctx = Montgomery64::for_modulus(m);
+    std::vector<std::uint64_t> xs = {0, 1, m - 1, m / 2};
+    for (int i = 0; i < 16; ++i) xs.push_back(rng.below(m));
+    for (const std::uint64_t a : xs) {
+      EXPECT_EQ(ctx.from_mont(ctx.to_mont(a)), a) << a << " mod " << m;
+      for (const std::uint64_t b : xs) {
+        EXPECT_EQ(ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b))),
+                  ref_mulmod(a, b, m))
+            << a << " * " << b << " mod " << m;
+      }
+      for (const std::uint64_t e : {std::uint64_t{0}, std::uint64_t{1},
+                                    m - 1, rng.next()}) {
+        EXPECT_EQ(ctx.from_mont(ctx.pow(ctx.to_mont(a), e)),
+                  modpow_u64(a, e, m))
+            << a << " ^ " << e << " mod " << m;
+      }
+    }
+  }
+  EXPECT_THROW(Montgomery64::for_modulus(1), LppaError);
+  EXPECT_THROW(Montgomery64::for_modulus(1u << 20), LppaError);
+}
+
+TEST(PaillierMontgomery, OpsMatchInt128ReferenceForEveryPrimeSize) {
+  for (int bits = 4; bits <= 16; ++bits) {
+    Rng rng(static_cast<std::uint64_t>(bits) * 7919 + 1);
+    const PaillierKeyPair keys = paillier_keygen(bits, rng);
+    SCOPED_TRACE("prime_bits " + std::to_string(bits));
+    expect_matches_reference(keys, rng);
+  }
+}
+
+TEST(PaillierMontgomery, OpsMatchReferenceWithModulusSquaredAboveTwoTo63) {
+  // 16-bit primes put n^2 anywhere in [2^60, 2^64); REDC that forms
+  // t + q*m in 128 bits would overflow on the upper part of that range.
+  std::size_t found = 0;
+  for (std::uint64_t seed = 1; seed <= 40 && found < 3; ++seed) {
+    Rng rng(seed);
+    const PaillierKeyPair keys = paillier_keygen(16, rng);
+    if (keys.pub.n_squared < (std::uint64_t{1} << 63)) continue;
+    ++found;
+    SCOPED_TRACE("n^2 = " + std::to_string(keys.pub.n_squared));
+    expect_matches_reference(keys, rng);
+  }
+  EXPECT_EQ(found, 3u) << "no 16-bit key with n^2 >= 2^63 in 40 seeds";
 }
 
 struct PaillierTest : ::testing::Test {
